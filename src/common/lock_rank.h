@@ -59,7 +59,7 @@ enum class Rank : int {
   /// TimerWheel (finish hooks cancel deadline timers while holding
   /// pipeline-level locks).
   kTimerWheel = 100,
-  /// BufferPool LRU/index (misses read the device while unlocked).
+  /// BufferPool replacement state (misses read the device while unlocked).
   kBufferPool = 110,
   /// StorageDevice cache/latency model.
   kStorageDevice = 120,

@@ -29,10 +29,11 @@ namespace scan_internal {
 /// Fetches one page with transient-error retry; shared by both cursors.
 inline Result<const Page*> FetchWithRetry(BufferPool* pool, const Table& table,
                                           uint64_t page_idx,
+                                          ReadPattern pattern,
                                           const RetryPolicy& policy, Rng* rng,
                                           RetryStats* stats) {
   for (uint32_t attempt = 1;; ++attempt) {
-    Result<const Page*> r = pool->FetchPage(table, page_idx);
+    Result<const Page*> r = pool->FetchPage(table, page_idx, pattern);
     if (r.ok()) return r;
     if (!RetryPolicy::IsTransient(r.status()) ||
         attempt >= policy.max_attempts) {
@@ -63,7 +64,8 @@ class TableScanCursor {
     if (pos_ >= table_->num_pages()) {
       return static_cast<const Page*>(nullptr);
     }
-    return scan_internal::FetchWithRetry(pool_, *table_, pos_++, retry_, &rng_,
+    return scan_internal::FetchWithRetry(pool_, *table_, pos_++,
+                                         ReadPattern::kLinear, retry_, &rng_,
                                          &retry_stats_);
   }
 
@@ -80,7 +82,9 @@ class TableScanCursor {
 };
 
 /// Endless circular cursor starting at `start_page`; the caller decides when
-/// a consumer has seen a full cycle (each consumer's point of entry).
+/// a consumer has seen a full cycle (each consumer's point of entry). Its
+/// reads are ReadPattern::kCircular: over a table larger than the pool they
+/// read through without taking a frame (buffer_pool.h, rule 1).
 class CircularPageCursor {
  public:
   CircularPageCursor(const Table* table, BufferPool* pool,
@@ -101,8 +105,9 @@ class CircularPageCursor {
     }
     const uint64_t page_idx = pos_;
     pos_ = (pos_ + 1) % table_->num_pages();
-    return scan_internal::FetchWithRetry(pool_, *table_, page_idx, retry_,
-                                         &rng_, &retry_stats_);
+    return scan_internal::FetchWithRetry(pool_, *table_, page_idx,
+                                         ReadPattern::kCircular, retry_, &rng_,
+                                         &retry_stats_);
   }
 
   /// Page index that the next call to Next() will fetch.

@@ -187,15 +187,33 @@ TEST(StorageDevice, CacheEvictsAtCapacity) {
 
 class BufferPoolTest : public ::testing::Test {
  protected:
-  BufferPoolTest() {
-    table_ = std::make_unique<Table>("t", Schema({Schema::Int64("x")}));
-    const size_t rows = static_cast<size_t>(table_->rows_per_page()) * 10;
+  BufferPoolTest() : table_(MakeTable("t", 3, 10)) {}
+
+  static std::unique_ptr<Table> MakeTable(const std::string& name,
+                                          uint16_t id, size_t pages) {
+    auto table = std::make_unique<Table>(name, Schema({Schema::Int64("x")}));
+    const size_t rows = static_cast<size_t>(table->rows_per_page()) * pages;
     for (size_t i = 0; i < rows; ++i) {
-      table_->schema().SetInt64(table_->AppendRow(), 0,
-                                static_cast<int64_t>(i));
+      table->schema().SetInt64(table->AppendRow(), 0, static_cast<int64_t>(i));
     }
-    table_->set_id(3);
+    table->set_id(id);
+    return table;
   }
+
+  // A one-pass (non-circular) read of page `p` of the 10-page table.
+  Result<const Page*> Fetch(BufferPool* pool, uint64_t p) {
+    return pool->FetchPage(*table_, p, ReadPattern::kLinear);
+  }
+
+  // Reads every page of `table` once in order; returns the hits it scored.
+  static uint64_t Pass(BufferPool* pool, const Table& table) {
+    const uint64_t before = pool->hits();
+    TableScanCursor cursor(&table, pool);
+    while (cursor.Next().value() != nullptr) {
+    }
+    return pool->hits() - before;
+  }
+
   std::unique_ptr<Table> table_;
 };
 
@@ -204,7 +222,7 @@ TEST_F(BufferPoolTest, HitsAfterFirstTouch) {
   BufferPool pool(&dev, 0);
   for (int r = 0; r < 2; ++r) {
     for (uint64_t p = 0; p < table_->num_pages(); ++p) {
-      EXPECT_EQ(pool.FetchPage(*table_, p).value(), table_->page(p));
+      EXPECT_EQ(Fetch(&pool, p).value(), table_->page(p));
     }
   }
   EXPECT_EQ(pool.misses(), table_->num_pages());
@@ -215,20 +233,78 @@ TEST_F(BufferPoolTest, BoundedPoolEvicts) {
   StorageDevice dev({.memory_resident = true});
   BufferPool pool(&dev, 4 * kPageSize);
   for (int r = 0; r < 2; ++r) {
-    for (uint64_t p = 0; p < 10; ++p) pool.FetchPage(*table_, p);
+    for (uint64_t p = 0; p < 10; ++p) Fetch(&pool, p);
   }
-  // With capacity 4 over a 10-page cyclic scan, every access misses.
-  EXPECT_EQ(pool.misses(), 20u);
-  EXPECT_EQ(pool.hits(), 0u);
+  // Capacity 4 over a 10-page loop read twice. The first pass fills the pool
+  // and, with no re-reference interval known yet, keeps its last four pages.
+  // On the second pass every other page is predicted to be needed later
+  // than those four, so it is read without being admitted, and the four
+  // resident pages hit (LRU would miss all 20 reads).
+  EXPECT_EQ(pool.misses(), 16u);
+  EXPECT_EQ(pool.hits(), 4u);
+  EXPECT_EQ(pool.bypassed(), 6u);
+  EXPECT_EQ(pool.stale_evictions(), 0u);
 }
 
 TEST_F(BufferPoolTest, ClearForgetsResidency) {
   StorageDevice dev({.memory_resident = true});
   BufferPool pool(&dev, 0);
-  pool.FetchPage(*table_, 0);
+  Fetch(&pool, 0);
   pool.Clear();
-  pool.FetchPage(*table_, 0);
+  Fetch(&pool, 0);
   EXPECT_EQ(pool.misses(), 1u);  // counters were reset by Clear
+}
+
+TEST_F(BufferPoolTest, ClearForgetsPredictions) {
+  StorageDevice dev({.memory_resident = true});
+  BufferPool pool(&dev, 4 * kPageSize);
+  for (int r = 0; r < 2; ++r) Pass(&pool, *table_);
+  ASSERT_GT(pool.bypassed(), 0u);
+  pool.Clear();
+  // A pool that still knew the loop's interval would read most of this pass
+  // through; a cleared one admits every page as on a cold start.
+  EXPECT_EQ(Pass(&pool, *table_), 0u);
+  EXPECT_EQ(pool.misses(), 10u);
+  EXPECT_EQ(pool.bypassed(), 0u);
+  EXPECT_EQ(pool.stale_evictions(), 0u);
+}
+
+TEST_F(BufferPoolTest, CircularScanReadsThroughSmallTableStaysResident) {
+  StorageDevice dev({.memory_resident = true});
+  BufferPool pool(&dev, 4 * kPageSize);
+  const auto small = MakeTable("small", 4, 3);
+  CircularPageCursor circular(table_.get(), &pool);
+  constexpr uint64_t kRounds = 5;
+  for (uint64_t r = 0; r < kRounds; ++r) {
+    // One cycle of the 10-page table, larger than the 4-page pool: each read
+    // goes to the device and takes no frame...
+    for (uint64_t p = 0; p < table_->num_pages(); ++p) {
+      ASSERT_TRUE(circular.Next().ok());
+    }
+    // ...so the 3-page table read between cycles hits after its first pass.
+    EXPECT_EQ(Pass(&pool, *small), r == 0 ? 0u : 3u) << "round " << r;
+  }
+  EXPECT_EQ(pool.hits(), 3 * (kRounds - 1));
+  EXPECT_EQ(pool.misses(), 10 * kRounds + 3);
+  EXPECT_EQ(pool.bypassed(), 10 * kRounds);
+}
+
+TEST_F(BufferPoolTest, OverduePagesYieldToNewLoop) {
+  StorageDevice dev({.memory_resident = true});
+  BufferPool pool(&dev, 4 * kPageSize);
+  const auto old_loop = MakeTable("old", 4, 4);
+  const auto new_loop = MakeTable("new", 5, 3);
+  // The old loop fills the pool and then stops being read.
+  for (int r = 0; r < 5; ++r) Pass(&pool, *old_loop);
+  ASSERT_EQ(Pass(&pool, *old_loop), 4u);
+  // The new loop's first pages are read through while the old pages are
+  // still expected back; once an old page is overdue by more than its
+  // interval (4 reads), it gives up its frame. After that the new loop
+  // stays resident and hits every pass.
+  for (int r = 0; r < 3; ++r) Pass(&pool, *new_loop);
+  EXPECT_EQ(pool.stale_evictions(), 3u);
+  EXPECT_EQ(Pass(&pool, *new_loop), 3u);
+  EXPECT_EQ(Pass(&pool, *new_loop), 3u);
 }
 
 TEST_F(BufferPoolTest, CursorsIterateAllPages) {
@@ -263,31 +339,53 @@ class ScopedFaults {
 TEST_F(BufferPoolTest, FetchPageRejectsOutOfRangePageId) {
   StorageDevice dev({.memory_resident = true});
   BufferPool pool(&dev, 0);
-  const Result<const Page*> r = pool.FetchPage(*table_, table_->num_pages());
+  const Result<const Page*> r = Fetch(&pool, table_->num_pages());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(BufferPoolTest, PersistentTransientFaultSurfacesAndLeavesNoResidency) {
+  // Both fault sites, in an unbounded pool and in a full 4-page one. The
+  // "bufferpool.alloc" site fires after the access has been recorded, on
+  // the miss path, so it also covers a device read failing mid-fetch.
+  for (const char* site : {"storage.read", "bufferpool.alloc"}) {
+    for (const size_t capacity : {size_t{0}, 4 * kPageSize}) {
+      SCOPED_TRACE(std::string(site) + " capacity " +
+                   std::to_string(capacity));
+      StorageDevice dev({.memory_resident = true});
+      BufferPool pool(&dev, capacity);
+      for (uint64_t p = 1; p <= 4; ++p) ASSERT_TRUE(Fetch(&pool, p).ok());
+      ScopedFaults faults(7);
+      FaultSpec spec;
+      spec.kind = FaultKind::kTransient;
+      spec.every_nth = 1;  // every read fails
+      spec.message = "short read: 512 of 32768 bytes";
+      FaultInjector::Global().Arm(site, spec);
+      const Result<const Page*> r = Fetch(&pool, 0);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+      EXPECT_NE(r.status().message().find("short read"), std::string::npos);
+      EXPECT_GE(pool.read_errors(), 1u);
+      FaultInjector::Global().ClearSite(site);
+      // Admit-after-read: the failed fetch took no frame (the four resident
+      // pages still hit) and left no false residency (page 0 misses).
+      for (uint64_t p = 1; p <= 4; ++p) ASSERT_TRUE(Fetch(&pool, p).ok());
+      EXPECT_EQ(pool.hits(), 4u);
+      ASSERT_TRUE(Fetch(&pool, 0).ok());
+      EXPECT_EQ(pool.hits(), 4u);
+      EXPECT_EQ(pool.misses(), 5u);
+    }
+  }
+}
+
+TEST(BufferPoolDeathTest, RejectsPoolSmallerThanOnePage) {
   StorageDevice dev({.memory_resident = true});
-  BufferPool pool(&dev, 0);
-  ScopedFaults faults(7);
-  FaultSpec spec;
-  spec.kind = FaultKind::kTransient;
-  spec.every_nth = 1;  // every read fails
-  spec.message = "short read: 512 of 32768 bytes";
-  FaultInjector::Global().Arm("storage.read", spec);
-  const Result<const Page*> r = pool.FetchPage(*table_, 0);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(r.status().message().find("short read"), std::string::npos);
-  EXPECT_GE(pool.read_errors(), 1u);
-  // Admit-after-read: the failed fetch must not have left false residency —
-  // once the fault clears, the page is fetched as a miss, not a hit.
-  FaultInjector::Global().ClearSite("storage.read");
-  ASSERT_TRUE(pool.FetchPage(*table_, 0).ok());
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 1u);
+  // Such a pool would evict every page it admits and silently never hit.
+  EXPECT_DEATH(BufferPool(&dev, kPageSize - 1), "holds no");
+  EXPECT_DEATH(BufferPool(&dev, 1), "holds no");
+  BufferPool unbounded(&dev, 0);
+  BufferPool one_page(&dev, kPageSize);
+  EXPECT_EQ(one_page.capacity_bytes(), kPageSize);
 }
 
 TEST_F(BufferPoolTest, CursorRetriesAbsorbOneShotTransientFault) {
@@ -315,11 +413,11 @@ TEST_F(BufferPoolTest, AllocFailureReturnsResourceExhausted) {
   spec.code = StatusCode::kResourceExhausted;  // frame allocation failure
   spec.one_shot_at = 1;
   FaultInjector::Global().Arm("bufferpool.alloc", spec);
-  const Result<const Page*> r = pool.FetchPage(*table_, 0);
+  const Result<const Page*> r = Fetch(&pool, 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   // The failure is a Status, not an abort, and the pool stays usable.
-  EXPECT_TRUE(pool.FetchPage(*table_, 0).ok());
+  EXPECT_TRUE(Fetch(&pool, 0).ok());
 }
 
 TEST_F(BufferPoolTest, CircularCursorSkipsPermanentlyPoisonedPage) {
@@ -354,7 +452,7 @@ TEST_F(BufferPoolTest, LatencyFaultDelaysButSucceeds) {
   spec.one_shot_at = 1;
   FaultInjector::Global().Arm("storage.read", spec);
   WallTimer t;
-  ASSERT_TRUE(pool.FetchPage(*table_, 0).ok());
+  ASSERT_TRUE(Fetch(&pool, 0).ok());
   EXPECT_GT(t.ElapsedSeconds(), 0.015);
 }
 
@@ -371,7 +469,7 @@ TEST_F(BufferPoolTest, KeyRangeRestrictsFaultToTargetPages) {
   spec.key_hi = (uint64_t{3} << 48) | 5;
   FaultInjector::Global().Arm("storage.read", spec);
   for (uint64_t p = 0; p < table_->num_pages(); ++p) {
-    const Result<const Page*> r = pool.FetchPage(*table_, p);
+    const Result<const Page*> r = Fetch(&pool, p);
     if (p == 5) {
       ASSERT_FALSE(r.ok());
       EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
