@@ -9,6 +9,8 @@
 #ifndef SDW_BENCH_BENCH_COMMON_H_
 #define SDW_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,7 +30,9 @@
 
 namespace sdw::bench {
 
-/// Minimal --key=value flag access.
+/// Minimal --key=value flag access. Values parse strictly: a value that is
+/// not wholly a finite number, an integer, or a boolean (0, 1, true, false)
+/// exits with status 2 instead of running on a silently substituted value.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -37,19 +41,44 @@ class Flags {
 
   double GetDouble(const std::string& name, double def) const {
     const std::string* v = Find(name);
-    return v == nullptr ? def : std::atof(v->c_str());
+    if (v == nullptr) return def;
+    const double d = Parse<double>(name, *v, "a finite number");
+    if (!std::isfinite(d)) BadValue(name, *v, "a finite number");
+    return d;
   }
   int64_t GetInt(const std::string& name, int64_t def) const {
     const std::string* v = Find(name);
-    return v == nullptr ? def : std::atoll(v->c_str());
+    return v == nullptr ? def : Parse<int64_t>(name, *v, "an integer");
   }
   bool GetBool(const std::string& name, bool def) const {
     const std::string* v = Find(name);
     if (v == nullptr) return def;
-    return *v == "1" || *v == "true";
+    if (*v == "1" || *v == "true") return true;
+    if (*v == "0" || *v == "false") return false;
+    BadValue(name, *v, "0, 1, true or false");
   }
 
  private:
+  // The whole value must parse: "abc", "1x" and "" are rejected.
+  template <typename T>
+  static T Parse(const std::string& name, const std::string& s,
+                 const char* want) {
+    T v{};
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (s.empty() || ec != std::errc() || end != s.data() + s.size()) {
+      BadValue(name, s, want);
+    }
+    return v;
+  }
+
+  [[noreturn]] static void BadValue(const std::string& name,
+                                    const std::string& value,
+                                    const char* want) {
+    std::fprintf(stderr, "--%s expects %s, got '%s'\n", name.c_str(), want,
+                 value.c_str());
+    std::exit(2);
+  }
+
   const std::string* Find(const std::string& name) const {
     const std::string prefix = "--" + name + "=";
     for (const auto& a : args_) {

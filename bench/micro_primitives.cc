@@ -756,8 +756,9 @@ BENCHMARK(BM_SharedAggScalarRef)->Arg(1)->Arg(16)->Arg(64);
 // ---------------------------------------------------------------------------
 // Admission latency: K pending queries admitted serially (one dimension scan
 // each, the seed behavior) vs. as one AdmitQueryBatch epoch (ONE scan for
-// all K). items/sec is admitted queries; the batched side should scale with
-// K while serial stays flat.
+// all K) vs. re-admitted from the selection cache (no scan). items/sec is
+// admitted queries; the batched side should scale with K while serial stays
+// flat.
 
 class AdmissionFixture {
  public:
@@ -823,6 +824,28 @@ void BM_AdmitBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(k));
 }
 BENCHMARK(BM_AdmitBatched)->Arg(1)->Arg(8)->Arg(32);
+
+// The same K predicates re-admitted into a warm filter: every request hits
+// the selection cache, so admission reads no dimension page and evaluates no
+// predicate — it sets one bit per cached entry. The `scans` counter stays at
+// 1 (the warm-up).
+void BM_AdmitCached(benchmark::State& state) {
+  AdmissionFixture& f = AdmissionFixture::Get();
+  const size_t k = static_cast<size_t>(state.range(0));
+  std::vector<cjoin::Filter::AdmitRequest> reqs;
+  for (size_t q = 0; q < k; ++q) {
+    reqs.push_back({static_cast<uint32_t>(q), &f.preds_[q]});
+  }
+  cjoin::Filter filter(f.dim_.get(), "fk", "pk", 0, 64);
+  filter.AdmitQueryBatch(reqs.data(), reqs.size(), f.pool_.get());
+  for (auto _ : state) {
+    filter.AdmitQueryBatch(reqs.data(), reqs.size(), f.pool_.get());
+    benchmark::DoNotOptimize(filter.num_entries());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(k));
+  state.counters["scans"] = static_cast<double>(filter.admission_scans());
+}
+BENCHMARK(BM_AdmitCached)->Arg(1)->Arg(8)->Arg(32);
 
 // Steady-state CJOIN pipeline over a small SSB instance: items/sec is fact
 // pages through the GQP; the pool_hit_rate counter is the batch recycling

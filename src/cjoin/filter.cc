@@ -1,5 +1,6 @@
 #include "cjoin/filter.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -86,6 +87,7 @@ Filter::Filter(const storage::Table* dim_table, std::string fact_fk_column,
       position_(position),
       words_(bits::WordsFor(slots)),
       pass_mask_(slots),
+      max_cached_indices_(kCachedIndicesPerRow * dim_table->num_rows()),
       dim_pk_col_idx_(dim_table->schema().MustColumnIndex(dim_pk_column_)) {
   // Sentinel entry (see filter.h): present from birth so Process is safe
   // even before the first admission.
@@ -93,15 +95,42 @@ Filter::Filter(const storage::Table* dim_table, std::string fact_fk_column,
   entry_bits_.resize(words_, 0);
 }
 
-Status Filter::AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
+Status Filter::AdmitQueryBatch(AdmitRequest* reqs, size_t n,
                                storage::BufferPool* pool) {
-  if (n == 0) return Status::Ok();
+  // Cached predicates set their bits right away; the rest are grouped by
+  // signature so the scan below evaluates each distinct predicate once.
+  struct Miss {
+    std::string signature;
+    query::Predicate::Bound bound;
+    std::vector<uint32_t> slots;
+    std::vector<uint32_t> entries;  // the selection, filled by the scan
+  };
   const storage::Schema& schema = dim_table_->schema();
-  // Bind every pending predicate once; the scan below is then the only pass
-  // over the dimension for the whole admission epoch.
-  std::vector<query::Predicate::Bound> bounds;
-  bounds.reserve(n);
-  for (size_t r = 0; r < n; ++r) bounds.push_back(reqs[r].pred->Bind(schema));
+  std::vector<Miss> misses;
+  for (size_t r = 0; r < n; ++r) {
+    std::string signature = reqs[r].pred->Signature();
+    const auto cached = selections_.find(signature);
+    reqs[r].hit = cached != selections_.end();
+    if (reqs[r].hit) {
+      selection_hits_.Add(1);
+      cached->second.last_use = ++use_clock_;
+      for (const uint32_t e : cached->second.entries) {
+        bits::Set(entry_bits_.data() + size_t{e} * words_, reqs[r].slot);
+      }
+      continue;
+    }
+    selection_misses_.Add(1);
+    auto m = std::find_if(misses.begin(), misses.end(), [&](const Miss& x) {
+      return x.signature == signature;
+    });
+    if (m == misses.end()) {
+      misses.push_back({std::move(signature), reqs[r].pred->Bind(schema), {},
+                        {}});
+      m = std::prev(misses.end());
+    }
+    m->slots.push_back(reqs[r].slot);
+  }
+  if (misses.empty()) return Status::Ok();
 
   // Entries are keyed by PK; PKs are unique per dimension, so at most one
   // entry per row exists — a tuple selected by several pending queries
@@ -132,9 +161,9 @@ Status Filter::AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
     const uint32_t count = page->tuple_count();
     for (uint32_t i = 0; i < count; ++i) {
       const std::byte* tuple = page->tuple(i);
-      uint32_t entry = kNoEntry;  // resolved by the first selecting query
-      for (size_t r = 0; r < n; ++r) {
-        if (!bounds[r].IsTrue() && !bounds[r].Eval(schema, tuple)) continue;
+      uint32_t entry = kNoEntry;  // resolved by the first selecting predicate
+      for (Miss& m : misses) {
+        if (!m.bound.IsTrue() && !m.bound.Eval(schema, tuple)) continue;
         if (entry == kNoEntry) {
           const uint32_t row = static_cast<uint32_t>(row_base + i);
           const int64_t pk = schema.GetIntAny(tuple, dim_pk_col_idx_);
@@ -148,7 +177,10 @@ Status Filter::AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
           }
           entry = static_cast<uint32_t>(e);
         }
-        bits::Set(entry_bits_.data() + entry * words_, reqs[r].slot);
+        m.entries.push_back(entry);
+        for (const uint32_t slot : m.slots) {
+          bits::Set(entry_bits_.data() + size_t{entry} * words_, slot);
+        }
       }
     }
     row_base += count;
@@ -162,7 +194,29 @@ Status Filter::AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
     ht_.Build();
   }
   admission_scans_.Add(1);
-  return scan_status;
+  if (!scan_status.ok()) return scan_status;
+  for (Miss& m : misses) {
+    CacheSelection(std::move(m.signature), std::move(m.entries));
+  }
+  return Status::Ok();
+}
+
+void Filter::CacheSelection(std::string signature,
+                            std::vector<uint32_t> entries) {
+  // A selection never exceeds the row count, so it always fits once the
+  // older selections are gone.
+  while (cached_indices_ + entries.size() > max_cached_indices_) {
+    auto lru = selections_.begin();
+    for (auto it = selections_.begin(); it != selections_.end(); ++it) {
+      if (it->second.last_use < lru->second.last_use) lru = it;
+    }
+    cached_indices_ -= lru->second.entries.size();
+    selections_.erase(lru);
+    selection_evictions_.Add(1);
+  }
+  cached_indices_ += entries.size();
+  selections_.emplace(std::move(signature),
+                      Selection{std::move(entries), ++use_clock_});
 }
 
 void Filter::CleanSlot(uint32_t slot) {

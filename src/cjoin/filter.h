@@ -7,12 +7,27 @@
 // reference the dimension sit in the filter's pass mask. Processing a fact
 // tuple computes  bits &= match(entry) | pass_mask  — a hash probe plus one
 // bitwise AND — and records the joined dimension row for projection.
+//
+// Admission selection cache. Each filter remembers, per admitted predicate,
+// which entries it selected, keyed by the canonical Predicate::Signature().
+// A cached list stays valid for the filter's lifetime: entries are only ever
+// appended, each dimension row has at most one entry (entries are keyed by
+// primary key), and dimension tables are immutable. A future ingest path
+// that adds or changes dimension rows must invalidate the cache. An
+// admission whose predicate is cached sets the slot's bit over the cached
+// entries: no dimension page read, no predicate evaluation, no hash-table
+// rebuild. Misses share the epoch's one dimension scan and enter the cache
+// only when that scan succeeds, so a failed scan caches nothing and fails
+// only the requests that missed. The cache holds at most
+// kCachedIndicesPerRow × the dimension's row count entry indices; inserting
+// past that evicts the least recently used selection first.
 
 #ifndef SDW_CJOIN_FILTER_H_
 #define SDW_CJOIN_FILTER_H_
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cjoin/tuple_batch.h"
@@ -57,38 +72,56 @@ class Filter {
     return dim == dim_table_ && fk == fact_fk_column_ && pk == dim_pk_column_;
   }
 
+  /// Cached entry indices allowed per dimension row. A predicate selects
+  /// each row at most once, so one selection never exceeds the row count.
+  /// The date filter of the SSB query mix needs about 14 per row (TRUE,
+  /// 7 single years and 28 year ranges over 2,556 rows).
+  static constexpr size_t kCachedIndicesPerRow = 32;
+
   /// One pending admission of a batched admission epoch: the query's slot
   /// and its selection on this dimension. The predicate must stay alive for
   /// the duration of the AdmitQueryBatch call.
   struct AdmitRequest {
     uint32_t slot;
     const query::Predicate* pred;
+    /// Out: true when the selection cache served the request. A hit reads
+    /// no dimension page, so a failed scan never concerns it.
+    bool hit = false;
   };
 
-  /// Batched admission: ONE scan of the dimension (through the buffer pool)
-  /// serves every pending query in `reqs` — each tuple is evaluated against
-  /// all pending predicates and the bits of the matching queries' slots are
-  /// set, so an admission pause costs one scan per dimension however many
-  /// queries were waiting (SharedDB-style amortization). Called only while
-  /// the pipeline is paused. Non-OK when the dimension scan failed: the
-  /// filter's internal state stays consistent (sentinel restored, hash table
-  /// rebuilt) but the batch's match bits are incomplete — the caller must
-  /// fail the batch's queries and recycle their slots (CleanSlot erases the
-  /// partial bits on reuse, exactly as for completed queries).
-  Status AdmitQueryBatch(const AdmitRequest* reqs, size_t n,
+  /// Batched admission. Requests whose predicate is cached set their slot's
+  /// bit over the cached entries. The rest share ONE scan of the dimension
+  /// (through the buffer pool): each tuple is evaluated once per distinct
+  /// missed predicate and the bits of the matching queries' slots are set,
+  /// so an admission pause costs at most one scan per dimension however many
+  /// queries were waiting (SharedDB-style amortization), and none when every
+  /// predicate was cached. Called only while the pipeline is paused. Non-OK
+  /// when the dimension scan failed: the filter's internal state stays
+  /// consistent (sentinel restored, hash table rebuilt) and the hits are
+  /// complete, but the misses' match bits are incomplete — the caller must
+  /// fail the requests with `hit == false` and recycle their slots
+  /// (CleanSlot erases the partial bits on reuse, exactly as for completed
+  /// queries).
+  Status AdmitQueryBatch(AdmitRequest* reqs, size_t n,
                          storage::BufferPool* pool);
 
   /// Single-query admission: a batch of one.
   Status AdmitQuery(uint32_t slot, const query::Predicate& pred,
                     storage::BufferPool* pool) {
-    const AdmitRequest req{slot, &pred};
+    AdmitRequest req{slot, &pred};
     return AdmitQueryBatch(&req, 1, pool);
   }
 
-  /// Dimension scans performed by admissions — one per AdmitQueryBatch call
-  /// regardless of how many queries the batch carried. The stress tests
-  /// assert one scan per dimension per admission epoch through this counter.
+  /// Dimension scans performed by admissions — at most one per
+  /// AdmitQueryBatch call regardless of how many queries the batch carried,
+  /// and none when every request hit the selection cache.
   uint64_t admission_scans() const { return admission_scans_.value(); }
+
+  /// Admission requests served by the selection cache / that needed the
+  /// dimension scan, and cached selections evicted to respect the bound.
+  uint64_t selection_hits() const { return selection_hits_.value(); }
+  uint64_t selection_misses() const { return selection_misses_.value(); }
+  uint64_t selection_evictions() const { return selection_evictions_.value(); }
 
   /// Marks `slot` as not referencing this dimension (pass-through).
   void SetPass(uint32_t slot) { pass_mask_.Set(slot); }
@@ -140,6 +173,10 @@ class Filter {
   /// Columnar-batch kernels behind Process's per-page dispatch.
   void ProcessColumnar(TupleBatch* batch, FilterScratch* scratch) const;
 
+  /// Enters a successfully scanned selection into the cache, evicting least
+  /// recently used selections until it fits the bound.
+  void CacheSelection(std::string signature, std::vector<uint32_t> entries);
+
   // Probe-path table for row-major batches: pk -> entry index. Retained as
   // the oracle probe structure (and for the ForEachMatch scalar reference).
   qpipe::Int64HashTable ht_;
@@ -157,6 +194,20 @@ class Filter {
   CacheAlignedVector<uint64_t> entry_bits_;  // words_ match bits per entry (+")
   Bitset pass_mask_;
   Counter admission_scans_;
+
+  // Admission selection cache (see the file comment). Touched only by
+  // AdmitQueryBatch, which runs with the pipeline paused.
+  struct Selection {
+    std::vector<uint32_t> entries;  // entry indices the predicate selects
+    uint64_t last_use;              // use_clock_ at the last insert or hit
+  };
+  std::unordered_map<std::string, Selection> selections_;
+  const size_t max_cached_indices_;
+  size_t cached_indices_ = 0;  // sum of entries.size() over selections_
+  uint64_t use_clock_ = 0;
+  Counter selection_hits_;
+  Counter selection_misses_;
+  Counter selection_evictions_;
 
   size_t dim_pk_col_idx_;
 

@@ -114,9 +114,15 @@ CjoinStats CjoinPipeline::stats() const {
       dist_scratch_reuses_.value() - dist_reuses_base_;
   s.distributor_scratch_grows = dist_scratch_grows_.value() - dist_grows_base_;
   s.agg_batches_folded = agg_batches_folded_.value() - agg_folds_base_;
-  uint64_t scans = 0;
-  for (const auto& f : filters_) scans += f->admission_scans();
+  uint64_t scans = 0, hits = 0, misses = 0;
+  for (const auto& f : filters_) {
+    scans += f->admission_scans();
+    hits += f->selection_hits();
+    misses += f->selection_misses();
+  }
   s.admission_dim_scans = scans - admission_scans_base_;
+  s.admission_selection_hits = hits - selection_hits_base_;
+  s.admission_selection_misses = misses - selection_misses_base_;
   const RetryStats& rs = cursor_.retry_stats();
   s.scan_read_retries =
       rs.retries.load(std::memory_order_relaxed) - retry_retries_base_;
@@ -136,7 +142,13 @@ void CjoinPipeline::ResetStats() {
   dist_grows_base_ = dist_scratch_grows_.value();
   agg_folds_base_ = agg_batches_folded_.value();
   admission_scans_base_ = 0;
-  for (const auto& f : filters_) admission_scans_base_ += f->admission_scans();
+  selection_hits_base_ = 0;
+  selection_misses_base_ = 0;
+  for (const auto& f : filters_) {
+    admission_scans_base_ += f->admission_scans();
+    selection_hits_base_ += f->selection_hits();
+    selection_misses_base_ += f->selection_misses();
+  }
   const RetryStats& rs = cursor_.retry_stats();
   retry_retries_base_ = rs.retries.load(std::memory_order_relaxed);
   retry_giveups_base_ = rs.giveups.load(std::memory_order_relaxed);
@@ -837,8 +849,8 @@ void CjoinPipeline::DoAdmissionsLocked() {
 
   // Phase 1 — materialize: allocate slots, build the ActiveQuery state, and
   // create/look up every referenced filter, grouping the epoch's pending
-  // (slot, predicate) pairs by filter so phase 3 runs ONE dimension scan
-  // per filter for the whole epoch, however many queries were waiting.
+  // (slot, predicate) pairs by filter so phase 3 runs at most ONE dimension
+  // scan per filter for the whole epoch, however many queries were waiting.
   std::vector<uint32_t> epoch_slots;
   epoch_slots.reserve(pending_.size());
   std::vector<std::pair<Filter*, std::vector<Filter::AdmitRequest>>> scans;
@@ -961,13 +973,14 @@ void CjoinPipeline::DoAdmissionsLocked() {
     if (!aq->aggregate) aq->moves = BuildJoinMoves(aq->q, aq->out_schema);
   }
 
-  // Phase 3 — one scan per referenced dimension for the whole epoch (the
-  // SharedDB-style amortized admission; stat-asserted by the stress test).
-  // A failed dimension scan leaves the filter internally consistent but its
-  // batch's match bits incomplete (see Filter::AdmitQueryBatch) — the
-  // queries that referenced that dimension are marked faulted and phase 4
-  // fails them instead of activating; the epoch's other queries admit
-  // normally (fault isolation at admission).
+  // Phase 3 — cached predicates set their bits from the filter's selection
+  // cache; the rest share at most one scan per referenced dimension for the
+  // whole epoch (the SharedDB-style amortized admission; stat-asserted by
+  // the stress test). A failed dimension scan leaves the filter internally
+  // consistent but the match bits of the requests that missed incomplete
+  // (see Filter::AdmitQueryBatch) — those queries are marked faulted and
+  // phase 4 fails them instead of activating; cache hits and the epoch's
+  // other queries admit normally (fault isolation at admission).
   for (auto& [f, reqs] : scans) {
     const Status s = f->AdmitQueryBatch(reqs.data(), reqs.size(), pool_);
     if (s.ok()) continue;
@@ -977,8 +990,9 @@ void CjoinPipeline::DoAdmissionsLocked() {
     const Status fault(code, "CJOIN admission: dimension '" +
                                  f->dim_table()->name() +
                                  "' scan failed: " + s.message());
-    for (size_t r = 0; r < reqs.size(); ++r) {
-      ActiveQuery* aq = slots_[reqs[r].slot].get();
+    for (const Filter::AdmitRequest& req : reqs) {
+      if (req.hit) continue;
+      ActiveQuery* aq = slots_[req.slot].get();
       if (aq->fault_status.ok()) aq->fault_status = fault;
     }
   }

@@ -6,9 +6,11 @@
 //    annotated tuple batch per page. Each admitted query records its point
 //    of entry and completes when the scan wraps around to it.
 //  * Query admission is batched: at a page boundary the pipeline drains,
-//    pending queries update/extend the filters (scanning their dimension
-//    tables and setting their bits), and the scan resumes — the paper's
-//    pause-the-pipeline admission phase.
+//    pending queries update/extend the filters (setting their bits over the
+//    entries their predicates select), and the scan resumes — the paper's
+//    pause-the-pipeline admission phase. A predicate some earlier epoch
+//    already admitted is served from the filter's selection cache; only the
+//    rest share one scan per referenced dimension table (see filter.h).
 //  * Filter workers take whole batches through every filter (the paper's
 //    horizontal thread configuration).
 //  * Distributor parts examine each joined tuple's bitmap, evaluate
@@ -102,7 +104,10 @@ struct CjoinOptions {
 
 /// Aggregate pipeline statistics.
 struct CjoinStats {
-  double admission_seconds = 0;   // wall time with the pipeline paused
+  /// Wall time spent admitting pending queries (DoAdmissionsLocked) while
+  /// the pipeline is paused. The drain before it and the completions
+  /// processed in the same pause are not included.
+  double admission_seconds = 0;
   uint64_t admission_batches = 0;
   uint64_t queries_admitted = 0;
   uint64_t queries_completed = 0;
@@ -141,11 +146,16 @@ struct CjoinStats {
   /// rate near 1 (zero per-batch heap allocation in steady state).
   uint64_t batch_pool_hits = 0;
   uint64_t batch_pool_misses = 0;
-  /// Dimension scans performed by admissions: batched admission does ONE
-  /// scan per referenced dimension per admission epoch, however many queries
-  /// were pending — admission_dim_scans / admission_batches stays flat in
-  /// the batch size.
+  /// Dimension scans performed by admissions: batched admission does at
+  /// most ONE scan per referenced dimension per admission epoch, however
+  /// many queries were pending — admission_dim_scans / admission_batches
+  /// stays flat in the batch size — and none for a dimension whose pending
+  /// predicates were all cached.
   uint64_t admission_dim_scans = 0;
+  /// Per-(query, dimension) admission requests served by a filter's
+  /// selection cache (no dimension read) vs. requests that needed the scan.
+  uint64_t admission_selection_hits = 0;
+  uint64_t admission_selection_misses = 0;
   /// Distributor grouping-scratch recycling: batches grouped within the
   /// scratch's retained capacity vs. batches that had to grow a scratch
   /// vector. A warm distributor must show grows ~ 0 — zero per-batch heap
@@ -584,6 +594,8 @@ class CjoinPipeline {
   uint64_t dist_grows_base_ GUARDED_BY(mu_) = 0;
   uint64_t agg_folds_base_ GUARDED_BY(mu_) = 0;
   uint64_t admission_scans_base_ GUARDED_BY(mu_) = 0;
+  uint64_t selection_hits_base_ GUARDED_BY(mu_) = 0;
+  uint64_t selection_misses_base_ GUARDED_BY(mu_) = 0;
   // Cursor retry-telemetry snapshot at the last ResetStats (the cursor's
   // counters are cumulative relaxed atomics; stats() reports deltas).
   uint64_t retry_retries_base_ GUARDED_BY(mu_) = 0;

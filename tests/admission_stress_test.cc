@@ -2,12 +2,16 @@
 // admission and the zero-allocation distributor:
 //  * deterministic epochs: K queries submitted together land in ONE
 //    admission pause costing exactly one dimension scan per distinct
-//    referenced dimension (stat-asserted via CjoinStats::admission_dim_scans
-//    and admission_batches), while the pipeline is still serving the
-//    previous epoch's queries;
+//    referenced dimension with a predicate no earlier epoch admitted — the
+//    others are served by the filters' selection caches (stat-asserted via
+//    CjoinStats::admission_dim_scans, admission_selection_{hits,misses} and
+//    admission_batches against a test-side model of the caches), while the
+//    pipeline is still serving the previous epoch's queries;
 //  * batch-admitted queries produce results identical to the same queries
 //    admitted serially (one epoch each) and to the Volcano oracle — no lost
 //    or duplicated tuples;
+//  * an epoch whose predicates are all cached costs no dimension scan and
+//    still matches the oracle;
 //  * concurrent churn: several submitter threads admit and finish queries
 //    against the running pipeline; every result still matches the oracle;
 //  * steady state: with the distributor scratch at its high-water mark, a
@@ -16,6 +20,7 @@
 
 #include <condition_variable>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -70,6 +75,70 @@ struct Submitted {
   storage::Schema schema;
   std::shared_ptr<CollectSink> sink;
 };
+
+/// What one admission epoch costs according to the cache model.
+struct EpochCost {
+  uint64_t scans = 0;   // distinct dimensions with an unseen predicate
+  uint64_t hits = 0;    // (query, dimension) requests with a seen predicate
+  uint64_t misses = 0;  // (query, dimension) requests with an unseen one
+};
+
+/// Test-side model of the filters' admission selection caches: the
+/// predicate signatures already admitted, per dimension. Nothing is evicted
+/// at this scale (the SF 0.01 selections stay far below the per-filter
+/// bound of Filter::kCachedIndicesPerRow indices per row), so a predicate
+/// once admitted stays cached.
+class CacheModel {
+ public:
+  /// Costs one epoch carrying `queries` and records their predicates as
+  /// admitted. Call only for queries that are actually admitted.
+  EpochCost Admit(const std::vector<query::StarQuery>& queries) {
+    const auto before = admitted_;
+    EpochCost cost;
+    std::set<DimKey> scanned;
+    for (const auto& q : queries) {
+      for (const auto& d : q.dims) {
+        const DimKey key{d.dim_table, d.fact_fk_column, d.dim_pk_column};
+        const std::string sig = d.pred.Signature();
+        const auto it = before.find(key);
+        if (it != before.end() && it->second.count(sig) != 0) {
+          ++cost.hits;
+          continue;
+        }
+        ++cost.misses;
+        scanned.insert(key);
+        admitted_[key].insert(sig);
+      }
+    }
+    cost.scans = scanned.size();
+    return cost;
+  }
+
+ private:
+  using DimKey = std::tuple<std::string, std::string, std::string>;
+  std::map<DimKey, std::set<std::string>> admitted_;
+};
+
+/// Asserts one epoch's measured admission counters equal the model's cost.
+void CheckEpochCost(const cjoin::CjoinStats& before,
+                    const cjoin::CjoinStats& after, const EpochCost& want,
+                    const char* what) {
+  const uint64_t scans = after.admission_dim_scans - before.admission_dim_scans;
+  const uint64_t hits =
+      after.admission_selection_hits - before.admission_selection_hits;
+  const uint64_t misses =
+      after.admission_selection_misses - before.admission_selection_misses;
+  SDW_CHECK_MSG(scans == want.scans && hits == want.hits &&
+                    misses == want.misses,
+                "%s: %llu scans, %llu cache hits, %llu misses (want %llu, "
+                "%llu, %llu)",
+                what, static_cast<unsigned long long>(scans),
+                static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(misses),
+                static_cast<unsigned long long>(want.scans),
+                static_cast<unsigned long long>(want.hits),
+                static_cast<unsigned long long>(want.misses));
+}
 
 class Harness {
  public:
@@ -149,24 +218,13 @@ class Harness {
                   s.q.Signature().c_str());
   }
 
-  /// Distinct dimensions referenced by a set of queries — the expected
-  /// number of admission scans for one epoch carrying them.
-  static size_t DistinctDims(const std::vector<query::StarQuery>& queries) {
-    std::set<std::tuple<std::string, std::string, std::string>> dims;
-    for (const auto& q : queries) {
-      for (const auto& d : q.dims) {
-        dims.insert({d.dim_table, d.fact_fk_column, d.dim_pk_column});
-      }
-    }
-    return dims.size();
-  }
-
   storage::Catalog catalog_;
   std::unique_ptr<storage::StorageDevice> device_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<baseline::VolcanoEngine> oracle_;
   std::unique_ptr<query::Planner> planner_;
   std::unique_ptr<cjoin::CjoinPipeline> pipeline_;
+  CacheModel cache_model_;  // every admitted query's predicates
 
   std::mutex done_mu_;
   std::condition_variable done_cv_;
@@ -177,7 +235,7 @@ class Harness {
 // Phase A: N deterministic epochs of K queries each, submitted while the
 // pipeline is still serving earlier epochs. Each epoch must cost one
 // admission batch and one dimension scan per distinct referenced dimension
-// — regardless of K.
+// with a predicate not admitted before — regardless of K.
 void PhaseDeterministicEpochs(Harness* h, std::vector<Submitted>* all) {
   constexpr size_t kEpochs = 4;
   uint64_t submitted = 0;
@@ -196,20 +254,26 @@ void PhaseDeterministicEpochs(Harness* h, std::vector<Submitted>* all) {
                   "epoch %zu split into %llu admission batches", e,
                   static_cast<unsigned long long>(after.admission_batches -
                                                   before.admission_batches));
-    const uint64_t scans = after.admission_dim_scans - before.admission_dim_scans;
-    SDW_CHECK_MSG(scans == Harness::DistinctDims(qs),
-                  "epoch %zu: %llu dimension scans for %zu queries over %zu "
-                  "distinct dims (want one scan per dim)",
-                  e, static_cast<unsigned long long>(scans), qs.size(),
-                  Harness::DistinctDims(qs));
+    CheckEpochCost(before, after, h->cache_model_.Admit(qs),
+                   "deterministic epoch");
     for (auto& s : subs) all->push_back(std::move(s));
   }
 }
 
 // Phase B: the same K queries admitted once as a batch and once serially
-// (one epoch each) must produce identical results.
+// (one epoch each) must produce identical results. The serial pass comes
+// second, so every one of its predicates is cached: it scans nothing.
 void PhaseBatchVsSerial(Harness* h, size_t* done_target) {
   const auto qs = ssb::RandomQ32Workload(4, 777);
+
+  // What admitting the same queries serially would have cost from the
+  // pre-batch cache state: one scan per (query, dim) with a predicate no
+  // earlier admission selected.
+  uint64_t serial_scans_cold = 0;
+  {
+    CacheModel serial_model = h->cache_model_;
+    for (const auto& q : qs) serial_scans_cold += serial_model.Admit({q}).scans;
+  }
 
   const cjoin::CjoinStats b0 = h->pipeline_->stats();
   auto batched = h->SubmitEpoch(qs);
@@ -218,27 +282,25 @@ void PhaseBatchVsSerial(Harness* h, size_t* done_target) {
   const cjoin::CjoinStats b1 = h->pipeline_->stats();
   const uint64_t batched_scans = b1.admission_dim_scans - b0.admission_dim_scans;
   SDW_CHECK(b1.admission_batches == b0.admission_batches + 1);
-  SDW_CHECK(batched_scans == Harness::DistinctDims(qs));
+  CheckEpochCost(b0, b1, h->cache_model_.Admit(qs), "batched epoch");
 
   std::vector<Submitted> serial;
   for (const auto& q : qs) {
+    const cjoin::CjoinStats s0 = h->pipeline_->stats();
     auto one = h->SubmitEpoch({q});
     *done_target += 1;
     h->WaitDone(*done_target);  // full completion => guaranteed own epoch
+    CheckEpochCost(s0, h->pipeline_->stats(), h->cache_model_.Admit({q}),
+                   "serial re-admission");
     serial.push_back(std::move(one.front()));
   }
-  const cjoin::CjoinStats b2 = h->pipeline_->stats();
-  const uint64_t serial_scans = b2.admission_dim_scans - b1.admission_dim_scans;
-  // Serial admission pays one scan per (query, dim); the batch amortized
-  // shared dimensions into single scans.
-  uint64_t per_query_dims = 0;
-  for (const auto& q : qs) per_query_dims += q.dims.size();
-  SDW_CHECK_MSG(serial_scans == per_query_dims,
-                "serial admissions did %llu scans, want %llu",
-                static_cast<unsigned long long>(serial_scans),
-                static_cast<unsigned long long>(per_query_dims));
-  SDW_CHECK_MSG(batched_scans < serial_scans,
-                "batched admission did not amortize dimension scans");
+  // The batch amortized shared dimensions into single scans: fewer than
+  // the same queries admitted one epoch each from the same cache state.
+  SDW_CHECK_MSG(batched_scans < serial_scans_cold,
+                "batched admission did not amortize dimension scans "
+                "(%llu batched vs %llu serial)",
+                static_cast<unsigned long long>(batched_scans),
+                static_cast<unsigned long long>(serial_scans_cold));
 
   for (size_t i = 0; i < qs.size(); ++i) {
     h->VerifyAgainstOracle(batched[i], "batch-admitted");
@@ -278,6 +340,7 @@ void PhaseConcurrentChurn(Harness* h, std::vector<Submitted>* all,
         auto subs = h->SubmitEpoch(qs);
         {
           std::lock_guard<std::mutex> lock(collected_mu);
+          h->cache_model_.Admit(qs);
           for (auto& s : subs) all->push_back(std::move(s));
         }
         std::this_thread::sleep_for(
@@ -299,6 +362,7 @@ void PhaseSteadyStateScratch(Harness* h, size_t* done_target) {
   auto warm = h->SubmitEpoch(qs);  // warms the scratch to its high-water mark
   *done_target += qs.size();
   h->WaitDone(*done_target);
+  h->cache_model_.Admit(qs);
 
   h->ResetStats();
   auto steady = h->SubmitEpoch(qs);
@@ -319,8 +383,8 @@ void PhaseSteadyStateScratch(Harness* h, size_t* done_target) {
 
 // Phase E: deadline-driven admission. An epoch mixing expired and valid
 // deadlines must reject the expired queries before they cost a slot or a
-// dimension scan — one scan per distinct dimension of the SURVIVING queries
-// only — and must complete every rejected query's lifecycle with
+// dimension scan — the scans are those the SURVIVING queries' predicates
+// cost — and must complete every rejected query's lifecycle with
 // kDeadlineExceeded (no ticket left unsatisfied).
 void PhaseDeadlineExpiry(Harness* h, size_t* done_target) {
   using sdw::core::QueryLifecycle;
@@ -376,12 +440,8 @@ void PhaseDeadlineExpiry(Harness* h, size_t* done_target) {
     SDW_CHECK(after.queries_expired == before.queries_expired + qs.size() / 2);
     SDW_CHECK(after.queries_admitted ==
               before.queries_admitted + qs.size() / 2);
-    const uint64_t scans =
-        after.admission_dim_scans - before.admission_dim_scans;
-    SDW_CHECK_MSG(scans == Harness::DistinctDims(survivors),
-                  "mixed epoch cost %llu scans, want %zu (survivors only)",
-                  static_cast<unsigned long long>(scans),
-                  Harness::DistinctDims(survivors));
+    CheckEpochCost(before, after, h->cache_model_.Admit(survivors),
+                   "deadline-mixed epoch (survivors only)");
     for (size_t i = 0; i < qs.size(); ++i) {
       if (i % 2 == 0) {
         const Status s = lives[i]->Wait();
@@ -395,6 +455,28 @@ void PhaseDeadlineExpiry(Harness* h, size_t* done_target) {
       }
     }
   }
+}
+
+// Phase F: an epoch whose every predicate an earlier epoch admitted — phase
+// A's first epoch again, plus the Q2.1 it carried in its second — costs no
+// dimension scan: every request is a selection-cache hit, and the results
+// still match the oracle.
+void PhaseAllCachedEpoch(Harness* h, size_t* done_target) {
+  std::vector<query::StarQuery> qs = ssb::RandomQ32Workload(3, 100);
+  qs.push_back(ssb::MakeQ21({}));
+
+  const cjoin::CjoinStats before = h->pipeline_->stats();
+  auto subs = h->SubmitEpoch(qs);
+  *done_target += qs.size();
+  h->WaitDone(*done_target);
+  const cjoin::CjoinStats after = h->pipeline_->stats();
+
+  SDW_CHECK(after.admission_batches == before.admission_batches + 1);
+  const EpochCost want = h->cache_model_.Admit(qs);
+  SDW_CHECK_MSG(want.scans == 0 && want.misses == 0,
+                "phase F queries were not all admitted before");
+  CheckEpochCost(before, after, want, "all-cached epoch");
+  for (const auto& s : subs) h->VerifyAgainstOracle(s, "all-cached epoch");
 }
 
 }  // namespace
@@ -417,6 +499,7 @@ int main() {
 
   PhaseSteadyStateScratch(&h, &done_target);
   PhaseDeadlineExpiry(&h, &done_target);
+  PhaseAllCachedEpoch(&h, &done_target);
 
   const cjoin::CjoinStats final_stats = h.pipeline_->stats();
   SDW_CHECK(h.pipeline_->num_active_queries() == 0);

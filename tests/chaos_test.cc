@@ -8,8 +8,11 @@
 //     the next batch completes kOk and matches the Volcano oracle. The same
 //     fault under an active shared aggregation group fails only the group's
 //     members and leaves the aggregator clean for same-signature
-//     readmissions. A one-shot *transient* error is absorbed by the
-//     cursor's retry/backoff and never reaches a client.
+//     readmissions. A one-shot permanent error on a *dimension* page fails
+//     only the admission epoch's queries that missed the filter's selection
+//     cache on that dimension; cached predicates read no dimension page and
+//     cannot fault. A one-shot *transient* error is absorbed by the cursor's
+//     retry/backoff and never reaches a client.
 //  B. Overload shedding. With an admission memory budget of 4 queries, a
 //     12-query batch sees exactly 4 admitted and 8 shed kResourceExhausted
 //     with a machine-readable retry_after hint; resubmitting after the
@@ -80,11 +83,17 @@ class ScopedFaults {
   ~ScopedFaults() { FaultInjector::Global().Disable(); }
 };
 
-/// The "storage.read" key range covering every page of the fact table and
-/// nothing else — dimension scans and the oracle stay untouched.
+/// The "storage.read" key range covering every page of one table and
+/// nothing else.
+void RestrictToTable(FaultSpec* spec, uint16_t table_id) {
+  spec->key_lo = static_cast<uint64_t>(table_id) << 48;
+  spec->key_hi = (static_cast<uint64_t>(table_id) << 48) | 0xFFFFFFFFFFFFull;
+}
+
+/// The fact table's key range — dimension scans and the oracle stay
+/// untouched.
 void RestrictToFactTable(FaultSpec* spec, const Db& db) {
-  spec->key_lo = static_cast<uint64_t>(db.fact_id) << 48;
-  spec->key_hi = (static_cast<uint64_t>(db.fact_id) << 48) | 0xFFFFFFFFFFFFull;
+  RestrictToTable(spec, db.fact_id);
 }
 
 core::EngineOptions CjoinOpts() {
@@ -268,6 +277,117 @@ void TestFoldedSatellitesShareHostFault(Db* db) {
     CheckOracleEqual(db, sats[i], tickets2[i], "post-fault fold resubmit");
   }
   engine.WaitAll();
+}
+
+// Phase A5: a permanent fault on a dimension page during admission. Only the
+// epoch's requests that missed the filter's selection cache scan the
+// dimension, so only the queries that missed on the faulted dimension fail
+// (kDataLoss); a query of the same epoch whose predicates were all cached
+// admits and completes. The failed scan caches nothing — once the fault is
+// cleared, the failed predicates scan again — and a cached predicate never
+// reads a dimension page, so a re-armed fault cannot reach it.
+void TestDimensionScanFaultFailsOnlyMisses(Db* db) {
+  core::Engine engine(&db->catalog, db->pool.get(), CjoinOpts());
+  ScopedFaults faults(106);
+  FaultSpec spec;
+  spec.kind = FaultKind::kPermanent;
+  spec.one_shot_at = 1;  // the first customer page read after arming
+  spec.message = "chaos: simulated dimension media error";
+  RestrictToTable(&spec, db->catalog.MustGetTable("customer")->id());
+
+  ssb::Q32SelectivityParams warm;
+  warm.cust_nations = {0, 1};
+  warm.supp_nations = {2};
+  warm.year_lo = 1993;
+  warm.year_hi = 1995;
+  const query::StarQuery cached = ssb::MakeQ32Selectivity(warm);
+  // miss1 repeats the cached supplier and date predicates with a new
+  // customer one; miss2 also brings a new supplier predicate, whose scan
+  // (a healthy dimension) succeeds and is cached in the failing epoch.
+  ssb::Q32SelectivityParams p1 = warm;
+  p1.cust_nations = {7};
+  ssb::Q32SelectivityParams p2 = warm;
+  p2.cust_nations = {8, 9};
+  p2.supp_nations = {10};
+  const std::vector<query::StarQuery> misses = {ssb::MakeQ32Selectivity(p1),
+                                                ssb::MakeQ32Selectivity(p2)};
+
+  // Warm-up on a healthy device: every predicate of `cached` enters the
+  // caches.
+  {
+    const core::QueryTicket t = engine.Submit(cached);
+    SDW_CHECK_MSG(t.Wait().ok(), "warm-up query failed");
+    CheckOracleEqual(db, cached, t, "dimension-fault warm-up");
+  }
+  engine.WaitAll();
+
+  // 1 + 2: one epoch carrying the cached query and both misses.
+  FaultInjector::Global().Arm("storage.read", spec);
+  const cjoin::CjoinStats s0 = engine.cjoin_stats();
+  const auto tickets = engine.SubmitBatch({cached, misses[0], misses[1]});
+  for (size_t i = 1; i < tickets.size(); ++i) {
+    const Status s = tickets[i].Wait();
+    SDW_CHECK_MSG(s.code() == StatusCode::kDataLoss,
+                  "query that missed on the faulted dimension finished %s "
+                  "(want kDataLoss)",
+                  s.ToString().c_str());
+    SDW_CHECK_MSG(s.message().find("dimension 'customer'") !=
+                          std::string::npos &&
+                      s.message().find("simulated dimension media error") !=
+                          std::string::npos,
+                  "fault detail lost from message: %s", s.message().c_str());
+  }
+  const Status cached_status = tickets[0].Wait();
+  SDW_CHECK_MSG(cached_status.ok(), "cached query in the faulted epoch "
+                "finished %s", cached_status.ToString().c_str());
+  engine.WaitAll();
+  SDW_CHECK(FaultInjector::Global().injected("storage.read") == 1);
+  FaultInjector::Global().ClearSite("storage.read");
+  CheckOracleEqual(db, cached, tickets[0], "cached query in faulted epoch");
+  const cjoin::CjoinStats s1 = engine.cjoin_stats();
+  SDW_CHECK(s1.queries_failed - s0.queries_failed == 2);
+  // The failed customer scan and miss2's supplier scan.
+  SDW_CHECK_MSG(s1.admission_dim_scans - s0.admission_dim_scans == 2,
+                "faulted epoch did %llu dimension scans (want 2)",
+                static_cast<unsigned long long>(s1.admission_dim_scans -
+                                                s0.admission_dim_scans));
+
+  // 3: the failed scan left no cache entry — resubmitting the failed
+  // predicates scans the customer dimension again (and only it: miss2's
+  // supplier selection was cached by its successful scan).
+  const auto retry = engine.SubmitBatch(misses);
+  for (size_t i = 0; i < retry.size(); ++i) {
+    const Status s = retry[i].Wait();
+    SDW_CHECK_MSG(s.ok(), "resubmitted query finished %s",
+                  s.ToString().c_str());
+    CheckOracleEqual(db, misses[i], retry[i], "resubmitted after fault");
+  }
+  engine.WaitAll();
+  const cjoin::CjoinStats s2 = engine.cjoin_stats();
+  SDW_CHECK_MSG(s2.admission_dim_scans - s1.admission_dim_scans == 1,
+                "resubmission did %llu dimension scans (want 1)",
+                static_cast<unsigned long long>(s2.admission_dim_scans -
+                                                s1.admission_dim_scans));
+
+  // 4: with the fault armed again, cached predicates admit without a read.
+  FaultInjector::Global().Arm("storage.read", spec);
+  const uint64_t injected = FaultInjector::Global().injected("storage.read");
+  const auto again = engine.SubmitBatch({cached, misses[0], misses[1]});
+  for (const auto& t : again) {
+    const Status s = t.Wait();
+    SDW_CHECK_MSG(s.ok(), "cached query under an armed dimension fault "
+                  "finished %s", s.ToString().c_str());
+  }
+  engine.WaitAll();
+  SDW_CHECK_MSG(FaultInjector::Global().injected("storage.read") == injected,
+                "a cached admission read a faulted dimension page");
+  FaultInjector::Global().ClearSite("storage.read");
+  CheckOracleEqual(db, cached, again[0], "cached under armed fault");
+  for (size_t i = 0; i < misses.size(); ++i) {
+    CheckOracleEqual(db, misses[i], again[i + 1], "cached under armed fault");
+  }
+  SDW_CHECK(engine.cjoin_stats().admission_dim_scans ==
+            s2.admission_dim_scans);
 }
 
 // Phase A2: a transient read error is retried inside the cursor and never
@@ -526,6 +646,7 @@ int main(int argc, char** argv) {
   TestPermanentFaultFailsOnlyAttachedEpoch(db.get());
   TestSharedAggFaultIsolation(db.get());
   TestFoldedSatellitesShareHostFault(db.get());
+  TestDimensionScanFaultFailsOnlyMisses(db.get());
   TestTransientFaultAbsorbedByRetry(db.get());
   TestOverloadSheddingAndResubmit(db.get());
   TestWatchdogConvertsStallIntoDeadline(db.get());

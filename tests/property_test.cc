@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <unordered_map>
 
 #include "baseline/volcano.h"
 #include "cjoin/filter.h"
@@ -265,6 +266,149 @@ TEST_P(DistributorLiveMaskProperty, LiveMaskMatchesDistribution) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DistributorLiveMaskProperty,
                          ::testing::Range(0, 6));
+
+// Admission selection cache invariant: a Filter driven through a seeded
+// sequence of admission epochs — repeated and fresh predicates (TRUE among
+// them), pass-through slots, slot recycling through RemoveQuery/CleanSlot,
+// and more distinct selections than the cache bound holds, so LRU eviction
+// fires — must join every fact tuple exactly like a brute-force evaluation
+// of each slot's predicate on the tuple's dimension row: same bitmap, same
+// joined row, same live bit.
+class FilterSelectionCacheProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(FilterSelectionCacheProperty, CacheHitsEqualBruteForceJoin) {
+  TestDb* db = SharedSsbDb();
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 11);
+  const storage::Table* dim = db->catalog.MustGetTable(ssb::kSupplier);
+  const storage::Table* fact = db->catalog.MustGetTable(ssb::kLineorder);
+  const storage::Schema& ds = dim->schema();
+  const size_t rows = dim->num_rows();
+  constexpr size_t kSlots = 96;  // straddles two bitmap words
+  const size_t words = bits::WordsFor(kSlots);
+
+  cjoin::Filter filter(dim, "lo_suppkey", "s_suppkey", 0, kSlots);
+  filter.BindFactColumn(fact->schema());
+
+  // Predicate pool: TRUE, random predicates, and random key ranges (broad
+  // selections, so the cached indices outgrow the bound), with each one's
+  // verdict on every dimension row precomputed (the brute-force side of the
+  // join).
+  std::vector<query::Predicate> preds = {query::Predicate::True()};
+  for (size_t k = 0; k < 100; ++k) preds.push_back(RandomPredicate(dim, &rng));
+  for (size_t k = 0; k < 100; ++k) {
+    const int64_t lo = rng.Uniform(1, static_cast<int64_t>(rows));
+    query::Predicate p;
+    p.And(query::AtomicPred::Int("s_suppkey", query::CompareOp::kGe, lo));
+    p.And(query::AtomicPred::Int("s_suppkey", query::CompareOp::kLe,
+                                 rng.Uniform(lo, static_cast<int64_t>(rows))));
+    preds.push_back(std::move(p));
+  }
+  std::vector<std::vector<bool>> verdict(preds.size(), std::vector<bool>(rows));
+  for (size_t k = 0; k < preds.size(); ++k) {
+    for (size_t r = 0; r < rows; ++r) verdict[k][r] = preds[k].Eval(ds, dim->row(r));
+  }
+  std::unordered_map<int64_t, size_t> row_of_pk;
+  const size_t pk_col = ds.MustColumnIndex("s_suppkey");
+  for (size_t r = 0; r < rows; ++r) row_of_pk[ds.GetIntAny(dim->row(r), pk_col)] = r;
+
+  // Slot model: unused, pass-through, or selecting with preds[pred[s]].
+  enum class Use { kFree, kDirty, kPass, kSelect };
+  std::vector<Use> use(kSlots, Use::kFree);
+  std::vector<size_t> pred(kSlots, 0);
+  std::vector<bool> ever_selected(rows, false);  // rows that own an entry
+
+  constexpr size_t kEpochs = 120;
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    // Retire some queries: out of the pass mask now, bits cleaned on reuse.
+    for (size_t s = 0; s < kSlots; ++s) {
+      if ((use[s] == Use::kPass || use[s] == Use::kSelect) &&
+          rng.Bernoulli(0.3)) {
+        filter.RemoveQuery(static_cast<uint32_t>(s));
+        use[s] = Use::kDirty;
+      }
+    }
+    // Admit a batch: a hot set of 8 predicates repeats, the rest are fresh
+    // draws from the whole pool.
+    std::vector<cjoin::Filter::AdmitRequest> reqs;
+    const size_t admits = 1 + rng.Index(12);
+    for (size_t a = 0; a < admits; ++a) {
+      std::vector<size_t> open;
+      for (size_t s = 0; s < kSlots; ++s) {
+        if (use[s] == Use::kFree || use[s] == Use::kDirty) open.push_back(s);
+      }
+      if (open.empty()) break;
+      const size_t s = open[rng.Index(open.size())];
+      if (use[s] == Use::kDirty) filter.CleanSlot(static_cast<uint32_t>(s));
+      if (rng.Bernoulli(0.15)) {
+        filter.SetPass(static_cast<uint32_t>(s));
+        use[s] = Use::kPass;
+        continue;
+      }
+      pred[s] = rng.Bernoulli(0.3) ? rng.Index(8) : rng.Index(preds.size());
+      use[s] = Use::kSelect;
+      reqs.push_back({static_cast<uint32_t>(s), &preds[pred[s]]});
+      for (size_t r = 0; r < rows; ++r) {
+        if (verdict[pred[s]][r]) ever_selected[r] = true;
+      }
+    }
+    ASSERT_TRUE(filter.AdmitQueryBatch(reqs.data(), reqs.size(),
+                                       db->pool.get()).ok());
+
+    // Join two random fact pages with random starting bitmaps over the
+    // occupied slots and compare every tuple with the brute-force join.
+    for (size_t b = 0; b < 2; ++b) {
+      cjoin::TupleBatch batch;
+      batch.fact_page = fact->SharePage(rng.Index(fact->num_pages()));
+      batch.ResetFor(batch.fact_page->tuple_count(),
+                     static_cast<uint32_t>(words), /*filters=*/1);
+      const uint32_t n = batch.num_tuples;
+      std::vector<uint64_t> start(size_t{n} * words, 0);
+      for (uint32_t i = 0; i < n; ++i) {
+        for (size_t s = 0; s < kSlots; ++s) {
+          if ((use[s] == Use::kPass || use[s] == Use::kSelect) &&
+              rng.Bernoulli(0.8)) {
+            bits::Set(start.data() + size_t{i} * words, s);
+          }
+        }
+      }
+      std::copy(start.begin(), start.end(), batch.bits.begin());
+      cjoin::FilterScratch scratch;
+      filter.Process(&batch, &scratch);
+
+      const storage::Schema& fs = fact->schema();
+      const size_t fk_col = fs.MustColumnIndex("lo_suppkey");
+      for (uint32_t i = 0; i < n; ++i) {
+        const int64_t fk = batch.fact_page->GetIntAny(fs, fk_col, i);
+        const auto found = row_of_pk.find(fk);
+        const bool joins = found != row_of_pk.end();
+        const size_t r = joins ? found->second : 0;
+        std::vector<uint64_t> want(words, 0);
+        for (size_t s = 0; s < kSlots; ++s) {
+          if (!bits::Test(start.data() + size_t{i} * words, s)) continue;
+          const bool keep = use[s] == Use::kPass ||
+                            (use[s] == Use::kSelect && joins && verdict[pred[s]][r]);
+          if (keep) bits::Set(want.data(), s);
+        }
+        for (size_t w = 0; w < words; ++w) {
+          ASSERT_EQ(batch.tuple_bits(i)[w], want[w])
+              << "epoch " << epoch << " tuple " << i << " word " << w;
+        }
+        ASSERT_EQ(batch.tuple_live(i), bits::Any(want.data(), words))
+            << "epoch " << epoch << " tuple " << i;
+        const uint32_t want_row = joins && ever_selected[r]
+                                      ? static_cast<uint32_t>(r)
+                                      : cjoin::kNoDimRow;
+        ASSERT_EQ(batch.tuple_dim_rows(i)[0], want_row)
+            << "epoch " << epoch << " tuple " << i;
+      }
+    }
+  }
+  EXPECT_GT(filter.selection_hits(), 0u);
+  EXPECT_GT(filter.selection_evictions(), 0u) << "the cache bound never bit";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FilterSelectionCacheProperty,
+                         ::testing::Range(0, 4));
 
 // Shared-aggregation slice invariant (the bitmap ∧ group property): for any
 // member of a shared aggregation group, SliceSlot over the folded table must
