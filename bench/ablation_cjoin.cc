@@ -34,6 +34,7 @@ int Main(int argc, char** argv) {
   const int iterations = static_cast<int>(flags.GetInt("iterations", 2));
   const size_t queries = static_cast<size_t>(
       flags.GetInt("queries", static_cast<int64_t>(8 * Cores())));
+  flags.RejectUnread();
 
   PrintHeader(
       "CJOIN ablations: distributor parts, filter threads, fact predicates "

@@ -1,14 +1,16 @@
 // Shared scaffolding for the per-figure benchmark binaries: flag parsing,
 // database setup, and experiment headers that relate each run to the paper.
 //
-// Every binary accepts --sf=<double>, --seed=<n> and experiment-specific
-// flags, and scales its concurrency grid to the host core count (the paper
-// ran on 24 cores; crossovers happen relative to hardware contexts, see
+// Every binary accepts --name=value flags — most take --sf=<double> plus
+// experiment-specific ones; an unknown name exits with status 2 — and
+// scales its concurrency grid to the host core count (the paper ran on 24
+// cores; crossovers happen relative to hardware contexts, see
 // EXPERIMENTS.md).
 
 #ifndef SDW_BENCH_BENCH_COMMON_H_
 #define SDW_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -30,9 +32,12 @@
 
 namespace sdw::bench {
 
-/// Minimal --key=value flag access. Values parse strictly: a value that is
+/// Minimal --name=value flag access. Values parse strictly: a value that is
 /// not wholly a finite number, an integer, or a boolean (0, 1, true, false)
 /// exits with status 2 instead of running on a silently substituted value.
+/// Names are strict too: once a program has read its flags it calls
+/// RejectUnread(), which exits with status 2 on an argument that is not
+/// --name=value (`--sf 2`) or whose name the program never read (`--sff=2`).
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -58,6 +63,26 @@ class Flags {
     BadValue(name, *v, "0, 1, true or false");
   }
 
+  /// Exits with status 2 unless every argument is --name=value with a name
+  /// some Get* call has read. Call after the last Get*.
+  void RejectUnread() const {
+    for (const auto& a : args_) {
+      const size_t eq = a.find('=');
+      if (a.rfind("--", 0) != 0 || eq == std::string::npos || eq == 2) {
+        std::fprintf(stderr, "expected --name=value, got '%s'\n", a.c_str());
+        std::exit(2);
+      }
+      const std::string name = a.substr(2, eq - 2);
+      if (std::find(read_.begin(), read_.end(), name) == read_.end()) {
+        std::fprintf(stderr, "unknown flag --%s; this program reads:",
+                     name.c_str());
+        for (const auto& r : read_) std::fprintf(stderr, " --%s", r.c_str());
+        std::fprintf(stderr, "\n");
+        std::exit(2);
+      }
+    }
+  }
+
  private:
   // The whole value must parse: "abc", "1x" and "" are rejected.
   template <typename T>
@@ -80,6 +105,7 @@ class Flags {
   }
 
   const std::string* Find(const std::string& name) const {
+    read_.push_back(name);
     const std::string prefix = "--" + name + "=";
     for (const auto& a : args_) {
       if (a.rfind(prefix, 0) == 0) {
@@ -92,6 +118,7 @@ class Flags {
 
   std::vector<std::string> args_;
   mutable std::string cached_;
+  mutable std::vector<std::string> read_;  // names asked for, in read order
 };
 
 /// A database with its simulated device and buffer pool.

@@ -58,6 +58,7 @@ int Main(int argc, char** argv) {
   const int iterations = static_cast<int>(flags.GetInt("iterations", 3));
   const size_t max_queries = static_cast<size_t>(
       flags.GetInt("max-queries", static_cast<int64_t>(16 * Cores())));
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 6: evaluating identical TPC-H Q1 queries with push-based SP "

@@ -113,6 +113,7 @@ int Main(int argc, char** argv) {
   const int iterations = static_cast<int>(flags.GetInt("iterations", 2));
   const size_t max_queries = static_cast<size_t>(
       flags.GetInt("max-queries", static_cast<int64_t>(16 * Cores())));
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 10: impact of concurrency (SSB Q3.2, random predicates)",

@@ -60,6 +60,7 @@ int Main(int argc, char** argv) {
   const size_t queries =
       static_cast<size_t>(flags.GetInt("queries", static_cast<int64_t>(
                                                       std::max<size_t>(2, Cores() / 3))));
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 11: impact of selectivity (modified SSB Q3.2, low concurrency)",

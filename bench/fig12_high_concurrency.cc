@@ -51,6 +51,7 @@ int Main(int argc, char** argv) {
   const int iterations = static_cast<int>(flags.GetInt("iterations", 2));
   const size_t max_queries = static_cast<size_t>(
       flags.GetInt("max-queries", static_cast<int64_t>(8 * Cores())));
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 12: 30% selectivity at high concurrency (modified SSB Q3.2)",

@@ -43,6 +43,7 @@ int Main(int argc, char** argv) {
   const int iterations = static_cast<int>(flags.GetInt("iterations", 2));
   const size_t queries = static_cast<size_t>(flags.GetInt("queries", 4));
   const double max_sf = flags.GetDouble("max-sf", 0.08);
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 13: impact of scale factor (disk-resident, ±direct I/O)",

@@ -48,6 +48,7 @@ int Main(int argc, char** argv) {
   const size_t max_queries = static_cast<size_t>(
       flags.GetInt("max-queries", static_cast<int64_t>(16 * Cores())));
   const size_t plans = static_cast<size_t>(flags.GetInt("plans", 16));
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 14: impact of similarity (16 possible query plans)",

@@ -48,6 +48,7 @@ int Main(int argc, char** argv) {
   const int iterations = static_cast<int>(flags.GetInt("iterations", 2));
   const size_t queries = static_cast<size_t>(
       flags.GetInt("queries", static_cast<int64_t>(32 * Cores())));
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 15: varying the number of possible different plans",

@@ -70,6 +70,7 @@ int Main(int argc, char** argv) {
   const size_t max_clients = static_cast<size_t>(
       flags.GetInt("max-clients", static_cast<int64_t>(8 * Cores())));
   const double loop_seconds = flags.GetDouble("loop-seconds", 3.0);
+  flags.RejectUnread();
 
   PrintHeader(
       "Figure 16: SSB query mix (Q1.1 / Q2.1 / Q3.2 round-robin)",

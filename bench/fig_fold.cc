@@ -59,7 +59,7 @@ core::EngineOptions MakeOptions(size_t slot_cap, size_t queries,
                                 bool folding) {
   core::EngineOptions opts;
   opts.config = core::EngineConfig::kCjoin;
-  opts.query_folding = folding;
+  opts.cjoin.query_folding = folding;
   opts.cjoin.max_queries = slot_cap;
   // Enough fold bits for the whole burst to ride as aggregates; the knob
   // under test is the SLOT cap. Not wider: every extra fold word lengthens
@@ -134,6 +134,7 @@ int Main(int argc, char** argv) {
   const double sf = flags.GetDouble("sf", 0.1);
   const int iterations = static_cast<int>(flags.GetInt("iterations", 1));
   const size_t queries = static_cast<size_t>(flags.GetInt("queries", 512));
+  flags.RejectUnread();
 
   PrintHeader(
       "Dynamic query folding: subsumed queries ride in-flight slots",

@@ -77,6 +77,7 @@ int Main(int argc, char** argv) {
   const size_t high = static_cast<size_t>(flags.GetInt("high", 2));
   const size_t workers = static_cast<size_t>(flags.GetInt("workers", 2));
   const double seconds = flags.GetDouble("seconds", 2.0);
+  flags.RejectUnread();
 
   PrintHeader(
       "Priority mix: high-priority p99 under a low-priority flood",

@@ -61,6 +61,7 @@ int Main(int argc, char** argv) {
   const size_t max_queries =
       static_cast<size_t>(flags.GetInt("max-queries", 64));
   const size_t fixed_shapes = static_cast<size_t>(flags.GetInt("shapes", 4));
+  flags.RejectUnread();
 
   PrintHeader(
       "Shared aggregation: work scales with distinct shapes, not queries",

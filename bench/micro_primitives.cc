@@ -264,8 +264,10 @@ BENCHMARK(BM_PredicateEval);
 // the acceptance bar for the rework was batched >= 1.5x scalar tuples/sec
 // on the 64-slot (one bitmap word) fast path.
 
-// Batch-at-a-time hash probe vs. the per-key ForEachMatch loop, 4096 keys
-// per iteration, ~75% hits over a 100k-entry table (out of cache).
+// The chained table's per-key ForEachMatch loop (the QPipe hash join's
+// probe) vs. the flat table's batched, prefetching ProbeBatch (the probe of
+// every CJOIN filter), 4096 keys per iteration, ~75% hits over a 100k-entry
+// table (out of cache).
 class ProbeFixture {
  public:
   static constexpr size_t kEntries = 100000;
@@ -301,7 +303,7 @@ void BM_HashProbeScalar(benchmark::State& state) {
   ProbeFixture& f = ProbeFixture::Get();
   for (auto _ : state) {
     for (size_t i = 0; i < ProbeFixture::kKeys; ++i) {
-      uint64_t v = qpipe::Int64HashTable::kMissValue;
+      uint64_t v = ~uint64_t{0};
       f.ht_.ForEachMatch(qpipe::HashKey(f.keys_[i]), f.keys_[i],
                          [&](uint64_t value) { v = value; });
       f.out_[i] = v;
@@ -312,20 +314,9 @@ void BM_HashProbeScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_HashProbeScalar);
 
-void BM_HashProbeBatched(benchmark::State& state) {
-  ProbeFixture& f = ProbeFixture::Get();
-  for (auto _ : state) {
-    f.ht_.ProbeBatch(f.keys_.data(), ProbeFixture::kKeys, f.out_.data());
-    benchmark::DoNotOptimize(f.out_.data());
-  }
-  state.SetItemsProcessed(state.iterations() * ProbeFixture::kKeys);
-}
-BENCHMARK(BM_HashProbeBatched);
-
-// Chained (node-walking) vs flat open-addressing ProbeBatch over the same
-// 100k-entry / 4096-key / ~75%-hit workload. The flat table densifies the
-// prefetch stream: one slot array, no per-entry indirection — this is the
-// probe the columnar filter kernel issues.
+// The same 100k entries in the flat open-addressing table: one slot array,
+// no per-entry indirection, so the batched probe issues one prefetchable
+// cache line per key.
 class FlatProbeFixture {
  public:
   FlatProbeFixture() {
@@ -347,16 +338,6 @@ class FlatProbeFixture {
   std::vector<uint64_t> out_;
 };
 
-void BM_ProbeChained(benchmark::State& state) {
-  ProbeFixture& f = ProbeFixture::Get();
-  for (auto _ : state) {
-    f.ht_.ProbeBatch(f.keys_.data(), ProbeFixture::kKeys, f.out_.data());
-    benchmark::DoNotOptimize(f.out_.data());
-  }
-  state.SetItemsProcessed(state.iterations() * ProbeFixture::kKeys);
-}
-BENCHMARK(BM_ProbeChained);
-
 void BM_ProbeFlat(benchmark::State& state) {
   ProbeFixture& f = ProbeFixture::Get();
   FlatProbeFixture& flat = FlatProbeFixture::Get();
@@ -369,12 +350,12 @@ void BM_ProbeFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeFlat);
 
-// The full filter step on real 32 KB fact pages. Scalar = the pre-rework
-// path (per-tuple GetIntAny decode, dependent-load probe, per-call heap
-// match vector); batched = fixed-offset key gather + ProbeBatch + branchless
-// sentinel pass 2 + reusable scratch. Arg = query slots (64 -> one bitmap
-// word, the fast path; 256 -> four words). Manual timing: re-priming the
-// batch bitmaps between runs is excluded.
+// The full filter step on real 32 KB fact pages. Scalar = the per-tuple
+// reference (GetIntAny decode, one unbatched Find, per-call heap match
+// vector); batched = Process: fixed-stride key gather + ProbeBatch +
+// branchless sentinel pass 2 + reusable scratch. Arg = query slots (64 ->
+// one bitmap word, the fast path; 256 -> four words). Manual timing:
+// re-priming the batch bitmaps between runs is excluded.
 class FilterFixture {
  public:
   explicit FilterFixture(size_t slots, bool columnar = false)
@@ -514,11 +495,10 @@ void BM_FilterProcessBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterProcessBatched)->Arg(64)->Arg(256)->UseManualTime();
 
-// Columnar (PAX) variants of the two filter benches above: the batched path
-// reads the FK minipage directly (gather-free), probes the flat table, and
-// runs the SIMD bitmap pass for multi-word slots. Compare tuples/sec with
-// the row-major pair — the PAX acceptance bar is batched-columnar >= 1.3x
-// batched-row-major at 256 slots.
+// Columnar (PAX) variants of the two filter benches above: the same code
+// over the same rows, stored in minipages, so the batched key gather is a
+// contiguous read of the FK minipage. Compare tuples/sec with the row-major
+// pair to see what the layout alone buys.
 void BM_FilterProcessScalarColumnar(benchmark::State& state) {
   FilterFixture& f =
       FilterFixture::GetColumnar(static_cast<size_t>(state.range(0)));

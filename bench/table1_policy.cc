@@ -36,6 +36,7 @@ int Main(int argc, char** argv) {
       flags.GetInt("low-queries", static_cast<int64_t>(std::max<size_t>(1, Cores() / 2))));
   const size_t high = static_cast<size_t>(
       flags.GetInt("high-queries", static_cast<int64_t>(24 * Cores())));
+  flags.RejectUnread();
 
   PrintHeader(
       "Table 1: rules of thumb for when and how to share",

@@ -43,10 +43,10 @@
 // Step 9 shows the PAX page layout: EngineOptions::columnar_pages = true
 // rebuilds the fact table column-major-within-page at engine construction
 // (docs/STORAGE.md), so the filter/scan kernels read only the columns they
-// touch. Same queries, bit-identical results — false keeps the row-major
-// differential oracle.
+// touch. Only the storage format changes: the same code reads either
+// layout, and results are bit-identical.
 //
-// Step 10 shows dynamic query folding: EngineOptions::query_folding = true
+// Step 10 shows dynamic query folding: CjoinOptions::query_folding = true
 // (default false) lets a query whose predicates are provably contained in
 // an in-flight query's ride that query's slot as a post-filter instead of
 // consuming a slot and dimension hash tables of its own —
@@ -230,21 +230,20 @@ int main() {
   // 9. The PAX page layout (docs/STORAGE.md). columnar_pages = true makes
   //    the engine rebuild the fact table's pages column-major-within-page
   //    before any stage captures page pointers: each column becomes a
-  //    64-byte-aligned minipage, so the filter's FK probe and predicate
-  //    evaluation read only the cache lines of the columns they touch (and
-  //    the SIMD bitmap kernels run on the multi-word pass). Page geometry
-  //    changes — slightly fewer rows per page from alignment padding — but
-  //    results are identical to the row-major engine, which stays available
-  //    as the differential oracle (columnar_pages = false, the default).
+  //    64-byte-aligned minipage, so the filter's FK gather and predicate
+  //    evaluation read only the cache lines of the columns they touch. The
+  //    kernels are the same ones the row-major engine above ran; only the
+  //    storage format differs. Page geometry changes — slightly fewer rows
+  //    per page from alignment padding — and results stay identical.
   const storage::Table* fact = catalog.MustGetTable(ssb::kLineorder);
-  const size_t rows_per_page_before = fact->rows_per_page();
+  const uint32_t rows_per_page_before = fact->rows_per_page();
   core::EngineOptions columnar_opts;
   columnar_opts.config = core::EngineConfig::kCjoin;
   columnar_opts.columnar_pages = true;
   core::Engine columnar_engine(&catalog, &pool, columnar_opts);
   core::QueryTicket columnar_ticket = columnar_engine.Submit(q);
   if (!columnar_ticket.Wait().ok()) return 1;
-  std::printf("\nPAX layout: lineorder %zu -> %zu rows/page (columnar=%s), "
+  std::printf("\nPAX layout: lineorder %u -> %u rows/page (columnar=%s), "
               "Q3.2 rows %zu (row-major engine: %zu)\n",
               rows_per_page_before, fact->rows_per_page(),
               fact->columnar() ? "true" : "false",
@@ -260,7 +259,7 @@ int main() {
   //     the shared aggregation group by its private member bit.
   core::EngineOptions fold_opts;
   fold_opts.config = core::EngineConfig::kCjoin;
-  fold_opts.query_folding = true;
+  fold_opts.cjoin.query_folding = true;
   core::Engine fold_engine(&catalog, &pool, fold_opts);
   ssb::Q32SelectivityParams wide;
   wide.cust_nations = {6, 23};  // FRANCE, UNITED KINGDOM

@@ -77,6 +77,44 @@ __attribute__((target("avx2"))) void Pass2Words4Avx2(const Pass2Ctx& c) {
 
 #endif  // SDW_FILTER_AVX2_BODY
 
+// Pass-1 gather of the live tuples' FK keys (stored as T) from a fact
+// column whose fields lie `col.stride` bytes apart. An all-live batch fills
+// `keys` densely (tuple index == probe index); otherwise `rows` records each
+// live tuple's index. On a PAX minipage the stride equals sizeof(T), and the
+// dense gather is a contiguous, vectorizable copy.
+template <typename T>
+void GatherKeys(const storage::Page::ColumnView& col, const uint64_t* live,
+                uint32_t n, bool all_live, FilterScratch* scratch) {
+  auto load = [&](size_t offset) {
+    T v;
+    std::memcpy(&v, col.first + offset, sizeof(T));
+    return static_cast<int64_t>(v);
+  };
+  scratch->rows.clear();
+  scratch->keys.clear();
+  if (all_live) {
+    scratch->keys.resize(n);
+    int64_t* keys = scratch->keys.data();
+    if (col.stride == sizeof(T)) {
+      for (uint32_t i = 0; i < n; ++i) keys[i] = load(size_t{i} * sizeof(T));
+    } else {
+      for (uint32_t i = 0; i < n; ++i) keys[i] = load(size_t{i} * col.stride);
+    }
+    return;
+  }
+  const size_t live_words = bits::WordsFor(n);
+  for (size_t w = 0; w < live_words; ++w) {
+    uint64_t word = live[w];
+    while (word != 0) {
+      const uint32_t i = static_cast<uint32_t>(
+          w * 64 + static_cast<size_t>(std::countr_zero(word)));
+      word &= word - 1;
+      scratch->rows.push_back(i);
+      scratch->keys.push_back(load(size_t{i} * col.stride));
+    }
+  }
+}
+
 }  // namespace
 
 Filter::Filter(const storage::Table* dim_table, std::string fact_fk_column,
@@ -173,7 +211,6 @@ Status Filter::AdmitQueryBatch(AdmitRequest* reqs, size_t n,
           if (inserted) {
             entry_rows_.push_back(row);
             entry_bits_.resize(entry_bits_.size() + words_, 0);
-            ht_.Insert(qpipe::HashKey(pk), pk, e);
           }
           entry = static_cast<uint32_t>(e);
         }
@@ -187,12 +224,6 @@ Status Filter::AdmitQueryBatch(AdmitRequest* reqs, size_t n,
   }
   entry_rows_.push_back(kNoDimRow);                    // sentinel
   entry_bits_.resize(entry_bits_.size() + words_, 0);  // sentinel
-  {
-    // Rebuild even on a failed scan: entries inserted before the failure are
-    // in ht_ and must stay probe-consistent with the entry arrays.
-    ScopedComponentTimer t(Component::kHashing);
-    ht_.Build();
-  }
   admission_scans_.Add(1);
   if (!scan_status.ok()) return scan_status;
   for (Miss& m : misses) {
@@ -227,8 +258,8 @@ void Filter::CleanSlot(uint32_t slot) {
 }
 
 void Filter::BindFactColumn(const storage::Schema& fact_schema) {
+  fact_schema_ = fact_schema;
   fk_col_ = fact_schema.MustColumnIndex(fact_fk_column_);
-  fk_offset_ = fact_schema.offset(fk_col_);
   fk_is_int32_ =
       fact_schema.column(fk_col_).type == storage::ColumnType::kInt32;
   fk_bound_ = true;
@@ -238,13 +269,6 @@ void Filter::Process(TupleBatch* batch, FilterScratch* scratch) const {
   SDW_DCHECK(fk_bound_);
   const uint32_t n = batch->num_tuples;
   if (n == 0) return;
-  if (batch->fact_page->columnar()) {
-    // PAX page: dense FK minipage + flat probe + SIMD bitmap pass. The
-    // row-major body below is kept byte-for-byte as the differential oracle.
-    ProcessColumnar(batch, scratch);
-    return;
-  }
-  const storage::Page& page = *batch->fact_page;
   const size_t words = batch->words_per_tuple;
   const uint64_t* pass = pass_mask_.words();
 
@@ -263,51 +287,20 @@ void Filter::Process(TupleBatch* batch, FilterScratch* scratch) const {
 
   // Pass 1 (the paper's "Hashing" work): gather the live tuples' FK keys
   // with one fixed-stride load each (no per-tuple schema interpretation)
-  // and resolve all probes in a single batched, prefetching call.
+  // and resolve all probes in a single batched, prefetching call to the
+  // flat table's single-load stream.
   {
     ScopedComponentTimer t(Component::kHashing);
-    const size_t stride = page.tuple_size();
-    const std::byte* base = page.tuple(0) + fk_offset_;
-    scratch->rows.clear();
-    scratch->keys.clear();
-    if (all_live) {
-      scratch->keys.resize(n);
-      int64_t* keys = scratch->keys.data();
-      if (fk_is_int32_) {
-        for (uint32_t i = 0; i < n; ++i) {
-          int32_t v;
-          std::memcpy(&v, base + i * stride, sizeof(v));
-          keys[i] = v;
-        }
-      } else {
-        for (uint32_t i = 0; i < n; ++i) {
-          std::memcpy(&keys[i], base + i * stride, sizeof(int64_t));
-        }
-      }
+    const storage::Page::ColumnView fk =
+        batch->fact_page->column(fact_schema_, fk_col_);
+    if (fk_is_int32_) {
+      GatherKeys<int32_t>(fk, live, n, all_live, scratch);
     } else {
-      for (size_t w = 0; w < live_words; ++w) {
-        uint64_t word = live[w];
-        while (word != 0) {
-          const uint32_t i = static_cast<uint32_t>(
-              w * 64 + static_cast<size_t>(std::countr_zero(word)));
-          word &= word - 1;
-          const std::byte* src = base + i * stride;
-          int64_t key;
-          if (fk_is_int32_) {
-            int32_t v;
-            std::memcpy(&v, src, sizeof(v));
-            key = v;
-          } else {
-            std::memcpy(&key, src, sizeof(key));
-          }
-          scratch->rows.push_back(i);
-          scratch->keys.push_back(key);
-        }
-      }
+      GatherKeys<int64_t>(fk, live, n, all_live, scratch);
     }
     scratch->values.resize(scratch->keys.size());
-    ht_.ProbeBatch(scratch->keys.data(), scratch->keys.size(),
-                   scratch->values.data());
+    flat_ht_.ProbeBatch(scratch->keys.data(), scratch->keys.size(),
+                        scratch->values.data());
   }
 
   // Pass 2 (the paper's "Joins" work): bitwise AND with match|pass, record
@@ -315,9 +308,9 @@ void Filter::Process(TupleBatch* batch, FilterScratch* scratch) const {
   // later stage touches them again.
   {
     ScopedComponentTimer t(Component::kJoins);
-    // Misses are redirected to the sentinel entry with a cmov — no
-    // data-dependent hit/miss branch in the loop (a miss ANDs with
-    // 0|pass_mask and re-writes the initial kNoDimRow).
+    // Misses (kMissValue = ~0) are redirected to the sentinel entry with a
+    // cmov — no data-dependent hit/miss branch in the loop (a miss ANDs
+    // with 0|pass_mask and re-writes the initial kNoDimRow).
     const uint64_t sentinel = entry_rows_.size() - 1;
     // Matched entries land at random offsets in entry_bits_/entry_rows_;
     // running a few tuples ahead keeps those loads in flight.
@@ -341,118 +334,6 @@ void Filter::Process(TupleBatch* batch, FilterScratch* scratch) const {
       // Fast path for the common ≤64-query-slot case: the whole bitmap
       // state is one word per tuple, so the AND/any kernels collapse to
       // straight-line scalar ops over a contiguous word array.
-      const uint64_t pass0 = pass[0];
-      uint64_t* bw = batch->bits.data();
-      uint32_t* dims = batch->dim_rows.data();
-      const uint32_t nf = batch->num_filters;
-      for (size_t j = 0; j < live_count; ++j) {
-        prefetch_entry(j + kLookahead);
-        const uint32_t i = all_live ? static_cast<uint32_t>(j) : rows[j];
-        const uint64_t idx = values[j] < sentinel ? values[j] : sentinel;
-        const uint64_t b = bw[i] & (entry_bits[idx] | pass0);
-        dims[i * nf + position_] = entry_rows[idx];
-        bw[i] = b;
-        if (b == 0) batch->kill_tuple(i);
-      }
-    } else {
-      for (size_t j = 0; j < live_count; ++j) {
-        prefetch_entry(j + kLookahead);
-        const uint32_t i = all_live ? static_cast<uint32_t>(j) : rows[j];
-        const uint64_t idx = values[j] < sentinel ? values[j] : sentinel;
-        uint64_t* tb = batch->tuple_bits(i);
-        const uint64_t any =
-            bits::AndWithOrAny(tb, entry_bits + idx * words_, pass, words);
-        batch->tuple_dim_rows(i)[position_] = entry_rows[idx];
-        if (any == 0) batch->kill_tuple(i);
-      }
-    }
-  }
-}
-
-void Filter::ProcessColumnar(TupleBatch* batch, FilterScratch* scratch) const {
-  const storage::Page& page = *batch->fact_page;
-  const uint32_t n = batch->num_tuples;
-  const size_t words = batch->words_per_tuple;
-  const uint64_t* pass = pass_mask_.words();
-
-  // All-live detection: identical to the row-major body.
-  const uint64_t* live = batch->live_words();
-  const size_t live_words = bits::WordsFor(n);
-  const size_t full_words = n / 64;
-  const size_t rem = n % 64;
-  bool all_live =
-      rem == 0 || live[live_words - 1] == (uint64_t{1} << rem) - 1;
-  for (size_t w = 0; all_live && w < full_words; ++w) {
-    all_live = live[w] == ~uint64_t{0};
-  }
-
-  // Pass 1: the FK keys sit contiguously in their minipage, so the gather is
-  // a straight sequential read (4- or 8-byte stride — the whole point of
-  // PAX: only the key column's cache lines are touched), and the probe goes
-  // through the flat table's single-load stream.
-  {
-    ScopedComponentTimer t(Component::kHashing);
-    const std::byte* base = page.column_data(fk_col_);
-    scratch->rows.clear();
-    scratch->keys.clear();
-    if (all_live) {
-      scratch->keys.resize(n);
-      int64_t* keys = scratch->keys.data();
-      if (fk_is_int32_) {
-        const int32_t* src = reinterpret_cast<const int32_t*>(base);
-        for (uint32_t i = 0; i < n; ++i) keys[i] = src[i];
-      } else {
-        std::memcpy(keys, base, size_t{n} * sizeof(int64_t));
-      }
-    } else {
-      for (size_t w = 0; w < live_words; ++w) {
-        uint64_t word = live[w];
-        while (word != 0) {
-          const uint32_t i = static_cast<uint32_t>(
-              w * 64 + static_cast<size_t>(std::countr_zero(word)));
-          word &= word - 1;
-          int64_t key;
-          if (fk_is_int32_) {
-            int32_t v;
-            std::memcpy(&v, base + size_t{i} * sizeof(int32_t), sizeof(v));
-            key = v;
-          } else {
-            std::memcpy(&key, base + size_t{i} * sizeof(int64_t), sizeof(key));
-          }
-          scratch->rows.push_back(i);
-          scratch->keys.push_back(key);
-        }
-      }
-    }
-    scratch->values.resize(scratch->keys.size());
-    flat_ht_.ProbeBatch(scratch->keys.data(), scratch->keys.size(),
-                        scratch->values.data());
-  }
-
-  // Pass 2: same sentinel-redirect structure as the row-major body (flat
-  // misses return kMissValue = ~0, which the `< sentinel` cmov redirects
-  // exactly like the chained table's miss value); the multi-word AND runs
-  // through the SIMD dispatch instead of the scalar word loop.
-  {
-    ScopedComponentTimer t(Component::kJoins);
-    const uint64_t sentinel = entry_rows_.size() - 1;
-    constexpr size_t kLookahead = 8;
-    const size_t live_count = scratch->keys.size();
-    const uint32_t* rows = scratch->rows.data();
-    const uint64_t* values = scratch->values.data();
-    const uint64_t* entry_bits = entry_bits_.data();
-    const uint32_t* entry_rows = entry_rows_.data();
-    auto prefetch_entry = [&](size_t j) {
-      if (j < live_count) {
-        const uint64_t idx = values[j] < sentinel ? values[j] : sentinel;
-        SDW_PREFETCH(&entry_bits[idx * words_]);
-        SDW_PREFETCH(&entry_rows[idx]);
-      }
-    };
-    for (size_t j = 0; j < kLookahead && j < live_count; ++j) {
-      prefetch_entry(j);
-    }
-    if (words == 1) {
       const uint64_t pass0 = pass[0];
       uint64_t* bw = batch->bits.data();
       uint32_t* dims = batch->dim_rows.data();
@@ -503,16 +384,17 @@ void Filter::ProcessScalar(TupleBatch* batch,
 
   // Pass 1: probe the shared hash table for every live tuple, recording the
   // matched entry (or none) — one schema-interpreted key decode plus one
-  // dependent-load chain walk per tuple.
+  // unbatched lookup per tuple.
   std::vector<uint32_t> match_entry(n, kNoDimRow);
   {
     ScopedComponentTimer t(Component::kHashing);
     for (uint32_t i = 0; i < n; ++i) {
       if (!batch->tuple_live(i)) continue;  // dead tuple
       const int64_t key = page.GetIntAny(fact_schema, fact_fk_col_idx, i);
-      ht_.ForEachMatch(qpipe::HashKey(key), key, [&](uint64_t entry_idx) {
+      const uint64_t entry_idx = flat_ht_.Find(key);
+      if (entry_idx != qpipe::FlatInt64HashTable::kMissValue) {
         match_entry[i] = static_cast<uint32_t>(entry_idx);
-      });
+      }
     }
   }
 

@@ -1,9 +1,10 @@
 // A CJOIN filter: the fused shared-selection + shared-hash-join for one
 // dimension table (paper §2.4-2.5, Figure 3).
 //
-// The filter's hash table maps dimension primary keys to the union of
-// dimension tuples selected by any active query referencing the dimension;
-// each entry carries match bits (one per query slot). Queries that do not
+// The filter's one hash table (a flat open-addressing table) maps dimension
+// primary keys to the union of dimension tuples selected by any active query
+// referencing the dimension; each entry carries match bits (one per query
+// slot). Queries that do not
 // reference the dimension sit in the filter's pass mask. Processing a fact
 // tuple computes  bits &= match(entry) | pass_mask  — a hash probe plus one
 // bitwise AND — and records the joined dimension row for projection.
@@ -16,7 +17,7 @@
 // that adds or changes dimension rows must invalidate the cache. An
 // admission whose predicate is cached sets the slot's bit over the cached
 // entries: no dimension page read, no predicate evaluation, no hash-table
-// rebuild. Misses share the epoch's one dimension scan and enter the cache
+// insert. Misses share the epoch's one dimension scan and enter the cache
 // only when that scan succeeds, so a failed scan caches nothing and fails
 // only the requests that missed. The cache holds at most
 // kCachedIndicesPerRow × the dimension's row count entry indices; inserting
@@ -35,7 +36,6 @@
 #include "common/bitmap.h"
 #include "common/stats.h"
 #include "qpipe/flat_hash_table.h"
-#include "qpipe/hash_table.h"
 #include "query/predicate.h"
 #include "storage/buffer_pool.h"
 #include "storage/table.h"
@@ -97,7 +97,8 @@ class Filter {
   /// queries were waiting (SharedDB-style amortization), and none when every
   /// predicate was cached. Called only while the pipeline is paused. Non-OK
   /// when the dimension scan failed: the filter's internal state stays
-  /// consistent (sentinel restored, hash table rebuilt) and the hits are
+  /// consistent (sentinel restored, every inserted entry probe-visible) and
+  /// the hits are
   /// complete, but the misses' match bits are incomplete — the caller must
   /// fail the requests with `hit == false` and recycle their slots
   /// (CleanSlot erases the partial bits on reuse, exactly as for completed
@@ -133,35 +134,29 @@ class Filter {
   /// Clears `slot`'s bit from every hash-table entry (slot recycling).
   void CleanSlot(uint32_t slot);
 
-  /// Precomputes the fact FK column's byte offset and width so Process can
-  /// gather keys with fixed-stride loads instead of per-tuple schema
+  /// Resolves the fact FK column and its key width once, so Process
+  /// gathers keys with fixed-stride loads instead of per-tuple schema
   /// interpretation. Called once when the filter joins a pipeline.
   void BindFactColumn(const storage::Schema& fact_schema);
 
   /// Processes one batch in a filter-worker thread: gathers the FK keys of
-  /// all live tuples (fixed offset + stride), probes them in one batched
-  /// call, ANDs bitmaps, records joined dimension rows, and clears the
-  /// batch's live bit for tuples whose bitmap goes empty. Requires
-  /// BindFactColumn. `scratch` is the calling worker's reusable scratch.
-  ///
-  /// Dispatches per page layout: row-major batches run the retained
-  /// chained-probe + scalar-bitmap body (the differential oracle behind
-  /// EngineOptions::columnar_pages=false); PAX batches run the columnar
-  /// kernels — contiguous key reads straight off the FK minipage, the flat
-  /// open-addressing probe, and the AVX2 multi-word bitmap pass. Both
-  /// produce bit-identical bitmaps / dim_rows / live masks.
+  /// all live tuples through Page::column (one stride under either page
+  /// layout; a contiguous read off a PAX minipage), probes them in one
+  /// batched call to the flat table, ANDs bitmaps (the AVX2 pass when
+  /// available), records joined dimension rows, and clears the batch's live
+  /// bit for tuples whose bitmap goes empty. Requires BindFactColumn.
+  /// `scratch` is the calling worker's reusable scratch.
   void Process(TupleBatch* batch, FilterScratch* scratch) const;
 
-  /// Retained per-tuple reference implementation (one GetIntAny + one
-  /// dependent-load probe per tuple) — the differential-test and benchmark
-  /// baseline for Process. Produces bit-identical bitmaps / dim_rows / live
-  /// masks.
+  /// Per-tuple reference implementation (one GetIntAny + one Find per
+  /// tuple) — the differential-test and benchmark baseline for Process.
+  /// Produces bit-identical bitmaps / dim_rows / live masks.
   void ProcessScalar(TupleBatch* batch, const storage::Schema& fact_schema,
                      size_t fact_fk_col_idx) const;
 
   /// Number of distinct dimension tuples currently referenced (hash table
   /// size) — the shared-operator bookkeeping the paper discusses.
-  size_t num_entries() const { return ht_.size(); }
+  size_t num_entries() const { return flat_ht_.size(); }
 
  private:
   const storage::Table* dim_table_;
@@ -170,19 +165,12 @@ class Filter {
   const size_t position_;
   const size_t words_;
 
-  /// Columnar-batch kernels behind Process's per-page dispatch.
-  void ProcessColumnar(TupleBatch* batch, FilterScratch* scratch) const;
-
   /// Enters a successfully scanned selection into the cache, evicting least
   /// recently used selections until it fits the bound.
   void CacheSelection(std::string signature, std::vector<uint32_t> entries);
 
-  // Probe-path table for row-major batches: pk -> entry index. Retained as
-  // the oracle probe structure (and for the ForEachMatch scalar reference).
-  qpipe::Int64HashTable ht_;
-  // Flat open-addressing twin with the same pk -> entry mapping: the
-  // admission-path insert-or-find index (no Build step, grows in place at
-  // pauses) AND the columnar batches' dense probe stream.
+  // pk -> entry index: admission's insert-or-find index (no Build step,
+  // grows in place at pauses) and Process's dense probe stream.
   qpipe::FlatInt64HashTable flat_ht_;
   // Per-entry arrays, always followed by one sentinel entry (zero match
   // bits, kNoDimRow row id) that ProbeBatch misses are redirected to — this
@@ -212,8 +200,8 @@ class Filter {
   size_t dim_pk_col_idx_;
 
   // Fact FK gather plan, precomputed by BindFactColumn.
+  storage::Schema fact_schema_;
   size_t fk_col_ = 0;
-  uint32_t fk_offset_ = 0;
   bool fk_is_int32_ = false;
   bool fk_bound_ = false;
 };

@@ -433,21 +433,19 @@ void CjoinPipeline::CompleteQueryLocked(uint32_t slot) {
   // without results and need no slice.
   std::vector<uint32_t> slice_bits;
   std::vector<ActiveQuery*> slice_riders;
-  if (options_.shared_aggregation) {
-    auto emits_slice = [&](ActiveQuery* r) {
-      return rider_due(r) && r->aggregate && r->agg_group != nullptr &&
-             r->fault_status.ok() && r->pages_remaining == 0;
-    };
-    for (const auto& sat : aq->satellites) {
-      if (emits_slice(sat.get())) {
-        slice_bits.push_back(sat->agg_bit);
-        slice_riders.push_back(sat.get());
-      }
+  auto emits_slice = [&](ActiveQuery* r) {
+    return rider_due(r) && r->aggregate && r->agg_group != nullptr &&
+           r->fault_status.ok() && r->pages_remaining == 0;
+  };
+  for (const auto& sat : aq->satellites) {
+    if (emits_slice(sat.get())) {
+      slice_bits.push_back(sat->agg_bit);
+      slice_riders.push_back(sat.get());
     }
-    if (host_due && emits_slice(aq)) {
-      slice_bits.push_back(aq->agg_bit);
-      slice_riders.push_back(aq);
-    }
+  }
+  if (host_due && emits_slice(aq)) {
+    slice_bits.push_back(aq->agg_bit);
+    slice_riders.push_back(aq);
   }
   std::vector<SharedAggregator::AccTable> slices;
   if (!slice_bits.empty()) shared_agg_.SliceMembers(*g, slice_bits, &slices);
@@ -515,13 +513,10 @@ void CjoinPipeline::FinishRiderLocked(ActiveQuery* r,
     if (r->on_complete) r->on_complete(final_status);
   }
   if (r->aggregate && r->agg_group != nullptr) {
-    // Unbind from the aggregation group. Under sharing the rider's member
-    // bit (its slot, or its fold bit) folds out of every table entry —
-    // survivors' slices are untouched, and the recycled bit re-enters any
-    // group clean. A private scalar group dies with its only member (its
-    // keys carry no bitmap to fold).
-    if (!options_.shared_aggregation ||
-        shared_agg_.RetireSlot(r->agg_group, r->agg_bit)) {
+    // Unbind from the aggregation group. The rider's member bit (its slot,
+    // or its fold bit) folds out of every table entry — survivors' slices
+    // are untouched, and the recycled bit re-enters any group clean.
+    if (shared_agg_.RetireSlot(r->agg_group, r->agg_bit)) {
       shared_agg_.DestroyGroup(r->agg_group);
     }
     r->agg_group = nullptr;
@@ -636,16 +631,10 @@ std::vector<JoinRowMove> CjoinPipeline::BuildJoinMoves(
 
 void CjoinPipeline::BindAggGroupLocked(ActiveQuery* aq) {
   std::string sig = aq->q.AggSignature();
-  SharedAggregator::Group* g = nullptr;
-  if (options_.shared_aggregation) {
-    g = shared_agg_.FindGroup(sig);
-    if (g != nullptr) ++stats_.agg_groups_shared;
+  SharedAggregator::Group* g = shared_agg_.FindGroup(sig);
+  if (g != nullptr) {
+    ++stats_.agg_groups_shared;
   } else {
-    // Scalar reference: a unique signature keeps every group private, so
-    // each query aggregates alone (the pre-sharing behavior).
-    sig += "#slot" + std::to_string(aq->slot);
-  }
-  if (g == nullptr) {
     g = shared_agg_.CreateGroup(std::move(sig));
     const query::Planner planner(catalog_);
     g->join_schema = planner.JoinOutputSchema(aq->q);
@@ -690,13 +679,10 @@ void CjoinPipeline::EmitAggResultLocked(ActiveQuery* aq,
   std::vector<std::string> rows;
   if (slice != nullptr) {
     SharedAggregator::RenderSlice(*g, *slice, &rows);
-  } else if (options_.shared_aggregation) {
+  } else {
     SharedAggregator::AccTable cut;
     SharedAggregator::SliceSlot(*g, aq->agg_bit, &cut);
     SharedAggregator::RenderSlice(*g, cut, &rows);
-  } else {
-    // A private group's table is already exactly this query's aggregate.
-    SharedAggregator::RenderSlice(*g, g->merged, &rows);
   }
   ++stats_.agg_slice_emits;
   storage::PagePtr page;
@@ -718,13 +704,8 @@ void CjoinPipeline::EmitAggResultLocked(ActiveQuery* aq,
 
 CjoinPipeline::ActiveQuery* CjoinPipeline::FindFoldHostLocked(
     const PendingQuery& p, const std::vector<uint32_t>& epoch_slots) {
-  // Scalar (non-shared) aggregation keys carry no member bitmap, so there
-  // is nothing for an aggregate satellite to ride; and a folded aggregate
-  // needs a private fold bit for its slice.
-  if (p.aggregate &&
-      (!options_.shared_aggregation || free_fold_bits_.empty())) {
-    return nullptr;
-  }
+  // A folded aggregate needs a private fold bit for its slice.
+  if (p.aggregate && free_fold_bits_.empty()) return nullptr;
   auto candidate = [&](uint32_t s) -> ActiveQuery* {
     ActiveQuery* aq = slots_[s].get();
     if (aq == nullptr) return nullptr;
@@ -1261,10 +1242,8 @@ void CjoinPipeline::EmitRows(ActiveQuery* aq, const TupleBatch& batch,
   const bool eval_fact_pred =
       aq->folded || !options_.fact_preds_in_preprocessor;
   const storage::Page& fact_page = *batch.fact_page;
-  const bool columnar = fact_page.columnar();
   for (size_t k = 0; k < n; ++k) {
     const uint32_t i = idxs[k];
-    const std::byte* fact_row = columnar ? nullptr : fact_page.tuple(i);
     if (eval_fact_pred && !aq->fact_pred.IsTrue() &&
         !aq->fact_pred.EvalAt(fact_schema, fact_page, i)) {
       continue;
@@ -1306,9 +1285,7 @@ void CjoinPipeline::EmitRows(ActiveQuery* aq, const TupleBatch& batch,
     for (const auto& m : aq->moves) {
       const std::byte* src;
       if (m.from_fact) {
-        // PAX pages project straight out of the column's minipage.
-        src = columnar ? fact_page.field(fact_schema, m.src_col, i)
-                       : fact_row + m.src_off;
+        src = fact_page.field(fact_schema, m.src_col, i);
       } else {
         const uint32_t row = dim_rows[m.filter_pos];
         SDW_DCHECK(row != kNoDimRow);
@@ -1347,15 +1324,9 @@ void CjoinPipeline::DistributorPartLoop(size_t part) {
       // the group list and shapes mutate only while the pipeline is drained,
       // and this part writes only its own partial tables.
       for (const auto& g : shared_agg_.groups()) {
-        if (options_.shared_aggregation) {
-          shared_agg_.FoldBatch(g.get(), *batch, fact_schema, dim_row_fn_,
-                                part, options_.fact_preds_in_preprocessor,
-                                &fold_scratch);
-        } else {
-          AggregateScalar(*g, g->members[0], *batch, fact_schema, dim_row_fn_,
-                          options_.fact_preds_in_preprocessor,
-                          &g->partials[part]);
-        }
+        shared_agg_.FoldBatch(g.get(), *batch, fact_schema, dim_row_fn_, part,
+                              options_.fact_preds_in_preprocessor,
+                              &fold_scratch);
         agg_batches_folded_.Add(1);
       }
     }

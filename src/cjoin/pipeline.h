@@ -63,11 +63,6 @@ struct CjoinOptions {
   /// pipeline defeated the purpose of potentially flowing fewer fact tuples
   /// in the pipeline" (§3.2). Kept as an option for the ablation bench.
   bool fact_preds_in_preprocessor = false;
-  /// Bind aggregate submissions with equal StarQuery::AggSignature() to one
-  /// shared aggregation group (each batch folded once per distinct shape,
-  /// per-query results sliced at completion). False = the scalar reference:
-  /// every aggregate query gets a private group aggregated query-at-a-time.
-  bool shared_aggregation = true;
   /// Order the pending queue by (priority desc, arrival) at every admission
   /// pause, so when slots are scarce a high-priority query never loses its
   /// slot to a long low-priority backlog. False = seed FIFO (the scheduler's
@@ -287,7 +282,8 @@ class CjoinPipeline {
     /// consumers, so a high-priority satellite boosts the host it shares.
     std::function<int()> priority_fn;
     /// Aggregate submission: the pipeline aggregates the query's join output
-    /// internally (shared or scalar per CjoinOptions::shared_aggregation)
+    /// in its shared aggregation stage (one group per AggSignature, each
+    /// batch folded once per group, the query's slice cut at completion)
     /// and the sink receives aggregate-result pages instead of join rows —
     /// `out_schema` must then be the aggregation output schema (group
     /// columns, then one column per aggregate; see Planner::BindAggShape).
@@ -487,13 +483,12 @@ class CjoinPipeline {
   std::vector<JoinRowMove> BuildJoinMoves(const query::StarQuery& q,
                                           const storage::Schema& out_schema);
   /// Binds an activating aggregate query to its aggregation group: an
-  /// existing same-signature group under shared aggregation, else a fresh
-  /// (private, under the scalar reference) group whose shape is compiled
-  /// here. Additionally requires the pipeline drained.
+  /// existing same-signature group, else a fresh group whose shape is
+  /// compiled here. Additionally requires the pipeline drained.
   void BindAggGroupLocked(ActiveQuery* aq) REQUIRES(mu_);
-  /// Renders the completing aggregate query's result (slice of its shared
-  /// group, or the whole table of its private scalar group) into pages on
-  /// its sink. Requires the group's partials merged. `slice` is an optional
+  /// Renders the completing aggregate query's result (its slice of the
+  /// shared group) into pages on its sink. Requires the group's partials
+  /// merged. `slice` is an optional
   /// precomputed slice (SliceMembers batches all of a drain's slices into
   /// one table pass); nullptr cuts it here.
   void EmitAggResultLocked(ActiveQuery* aq,

@@ -55,19 +55,14 @@ void KeyMaskClearAll(std::string* key, size_t key_width, const uint64_t* mask,
 }
 
 /// Materializes the join-output row for batch tuple `i` into `row`.
-/// `fact_row` is the tuple's row-major base pointer, or nullptr for PAX fact
-/// pages (fact moves then read the column minipages directly).
 void MaterializeRow(const SharedAggregator::Group& g, const TupleBatch& batch,
                     const storage::Schema& fact_schema, uint32_t i,
-                    const std::byte* fact_row,
                     const SharedAggregator::DimRowFn& dim_row, std::byte* row) {
   const uint32_t* dim_rows = batch.tuple_dim_rows(i);
   for (const JoinRowMove& mv : g.moves) {
     const std::byte* src;
     if (mv.from_fact) {
-      src = fact_row != nullptr
-                ? fact_row + mv.src_off
-                : batch.fact_page->field(fact_schema, mv.src_col, i);
+      src = batch.fact_page->field(fact_schema, mv.src_col, i);
     } else {
       const uint32_t r = dim_rows[mv.filter_pos];
       SDW_DCHECK(r != kNoDimRow);
@@ -345,7 +340,6 @@ void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,
   const size_t num_aggs = g->aggs.size();
 
   const storage::Page& fact_page = *batch.fact_page;
-  const bool columnar = fact_page.columnar();
   const uint64_t* live = batch.live_words();
   const size_t live_words = bits::WordsFor(batch.num_tuples);
   for (size_t lw = 0; lw < live_words; ++lw) {
@@ -369,7 +363,6 @@ void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,
       }
       for (size_t w = words; w < member_words; ++w) mask[w] = 0;
       if (any == 0 && sat_any == 0) continue;
-      const std::byte* fact_row = columnar ? nullptr : fact_page.tuple(i);
       if (!preds_pre_applied) {
         // Per-member fact-predicate verdicts refine the bitmap, so the key
         // attributes the tuple only to members it actually qualifies for.
@@ -419,7 +412,7 @@ void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,
       }
       if (!bits::Any(mask, member_words)) continue;
 
-      MaterializeRow(*g, batch, fact_schema, i, fact_row, dim_row, row);
+      MaterializeRow(*g, batch, fact_schema, i, dim_row, row);
       scratch->key.clear();
       AppendGroupKey(*g, row, &scratch->key);
       scratch->key.append(reinterpret_cast<const char*>(mask),
@@ -445,16 +438,14 @@ void AggregateScalar(const SharedAggregator::Group& g,
   std::string key;
   const size_t num_aggs = g.aggs.size();
   const storage::Page& fact_page = *batch.fact_page;
-  const bool columnar = fact_page.columnar();
   for (uint32_t i = 0; i < batch.num_tuples; ++i) {
     if (!batch.tuple_live(i)) continue;
     if (!bits::Test(batch.tuple_bits(i), mem.slot)) continue;
-    const std::byte* fact_row = columnar ? nullptr : fact_page.tuple(i);
     if (!preds_pre_applied && !mem.fact_pred.IsTrue() &&
         !mem.fact_pred.EvalAt(fact_schema, fact_page, i)) {
       continue;
     }
-    MaterializeRow(g, batch, fact_schema, i, fact_row, dim_row, row);
+    MaterializeRow(g, batch, fact_schema, i, dim_row, row);
     key.clear();
     AppendGroupKey(g, row, &key);
     auto [it, inserted] = table->try_emplace(key);

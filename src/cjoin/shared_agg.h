@@ -61,8 +61,8 @@ namespace sdw::cjoin {
 struct JoinRowMove {
   bool from_fact;
   size_t filter_pos;  // valid when !from_fact
-  size_t src_col;     // source column index (fact moves read PAX minipages)
-  uint32_t src_off;   // row-major byte offset of src_col in its schema
+  size_t src_col;     // source column index (fact moves: Page::field)
+  uint32_t src_off;   // row offset of src_col (read by dimension moves)
   uint32_t dst_off;
   uint32_t len;
 };

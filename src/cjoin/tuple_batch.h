@@ -52,10 +52,6 @@ struct TupleBatch {
   const uint32_t* tuple_dim_rows(uint32_t t) const {
     return dim_rows.data() + t * num_filters;
   }
-  /// Row-major pages only — PAX batches have no per-tuple base pointer;
-  /// columnar consumers read fields via Page::field / Predicate EvalAt.
-  const std::byte* fact_tuple(uint32_t t) const { return fact_page->tuple(t); }
-
   uint64_t* live_words() { return live.data(); }
   const uint64_t* live_words() const { return live.data(); }
   bool tuple_live(uint32_t t) const { return bits::Test(live.data(), t); }

@@ -36,8 +36,6 @@ Engine::Engine(const storage::Catalog* catalog, storage::BufferPool* pool,
   qpipe::QpipeOptions qopts;
   qopts.comm = options_.comm;
   qopts.channel_bytes = options_.channel_bytes;
-  qopts.sp_agg = options_.sp_agg;
-  qopts.sp_sort = options_.sp_sort;
   qopts.scheduler = scheduler_.get();
   qopts.stage_max_workers = options_.stage_max_workers;
   switch (options_.config) {
@@ -62,8 +60,6 @@ Engine::Engine(const storage::Catalog* catalog, storage::BufferPool* pool,
   if (use_cjoin) {
     const storage::Table* fact = catalog->MustGetTable(options_.fact_table);
     cjoin::CjoinOptions copts = options_.cjoin;
-    copts.shared_aggregation = options_.shared_aggregation;
-    copts.query_folding = options_.query_folding;
     // One policy everywhere: the scheduler's FIFO switch also turns off
     // priority-ordered admission in the GQP — while still honoring a
     // caller who disabled only the CJOIN knob.
@@ -73,8 +69,6 @@ Engine::Engine(const storage::Catalog* catalog, storage::BufferPool* pool,
       memory_budget_ =
           std::make_unique<MemoryBudget>(options_.resilience.memory_budget_bytes);
       copts.memory_budget = memory_budget_.get();
-      copts.overload_retry_after_nanos =
-          options_.resilience.overload_retry_after_nanos;
     }
     pipeline_ = std::make_unique<cjoin::CjoinPipeline>(catalog, pool, fact,
                                                        copts);

@@ -48,10 +48,9 @@ struct EngineOptions {
   CommModel comm = CommModel::kPull;
   /// FIFO/SPL byte bound (paper uses 256 KB).
   size_t channel_bytes = 256 * 1024;
-  /// SP for aggregation/sort stages — off in all paper experiments.
-  bool sp_agg = false;
-  bool sp_sort = false;
-  /// GQP pipeline options (CJOIN configs only).
+  /// GQP pipeline options (CJOIN configs only), including dynamic query
+  /// folding (cjoin.query_folding, see docs/FOLDING.md) and the overload
+  /// retry hint (cjoin.overload_retry_after_nanos).
   cjoin::CjoinOptions cjoin;
   /// CJOIN configs: evaluate aggregations inside the pipeline's shared
   /// aggregation stage — queries with the same (group-by keys, aggregate
@@ -60,20 +59,12 @@ struct EngineOptions {
   /// streams to per-query QPipe aggregation packets (the pre-sharing
   /// behavior, and the differential tests' baseline).
   bool shared_aggregation = true;
-  /// CJOIN configs: dynamic query folding at admission — a pending query
-  /// whose predicates are provably contained in an in-flight query's (and
-  /// whose aggregate shape matches) rides that host's slot as a post-filter
-  /// instead of consuming a slot and dimension scans. Default OFF: the
-  /// unfolded path is the differential oracle (see docs/FOLDING.md).
-  bool query_folding = false;
   /// Fact table the GQP pipeline is built over.
   std::string fact_table = "lineorder";
-  /// Convert the fact table to the PAX (column-major within page) layout at
-  /// engine construction and run the columnar hot-path kernels over it
-  /// (minipage predicate/key reads, flat hash probe, SIMD bitmap pass — see
-  /// docs/STORAGE.md). False keeps the row-major layout and the retained
-  /// row-major kernels: the differential oracle the columnar suite pins the
-  /// PAX path against. Results are bit-identical either way.
+  /// Store the fact table in the PAX (column-major within page) layout,
+  /// converted at engine construction (see docs/STORAGE.md). Only the
+  /// storage format changes: every fact-page reader runs the same code on
+  /// either layout, and results are bit-identical.
   bool columnar_pages = false;
   /// Scheduling policy: one core::Scheduler per engine threads priority,
   /// aging and deadline (timer-wheel) enforcement through every queue —
@@ -88,10 +79,9 @@ struct EngineOptions {
     /// Admission overload gate: total bytes of CJOIN admission reservations
     /// (CjoinPipeline::kAdmissionCostBytes per in-flight query) before
     /// pending queries are shed with kResourceExhausted + a retry_after
-    /// hint. 0 = no gate (the seed behavior).
+    /// hint (cjoin.overload_retry_after_nanos). 0 = no gate (the seed
+    /// behavior).
     uint64_t memory_budget_bytes = 0;
-    /// Resubmission hint attached to overload rejections.
-    int64_t overload_retry_after_nanos = 5'000'000;
     /// Stall watchdog: busy time without scan progress before active CJOIN
     /// queries are cancelled kDeadlineExceeded. 0 = watchdog off.
     int64_t scan_stall_nanos = 0;

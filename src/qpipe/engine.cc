@@ -52,17 +52,9 @@ QpipeEngine::Stage* QpipeEngine::StageFor(PlanNode::Kind kind) {
 }
 
 bool QpipeEngine::SpEnabledFor(PlanNode::Kind kind) const {
-  switch (kind) {
-    case PlanNode::Kind::kScan:
-      return options_.sp_scan;
-    case PlanNode::Kind::kHashJoin:
-      return options_.sp_join;
-    case PlanNode::Kind::kAggregate:
-      return options_.sp_agg;
-    case PlanNode::Kind::kSort:
-      return options_.sp_sort;
-  }
-  return false;
+  // Aggregation and sort stages never share (as in the paper's experiments).
+  return (kind == PlanNode::Kind::kScan && options_.sp_scan) ||
+         (kind == PlanNode::Kind::kHashJoin && options_.sp_join);
 }
 
 int QpipeEngine::JoinDepth(const PlanNode* node) {
@@ -77,25 +69,16 @@ int QpipeEngine::JoinDepth(const PlanNode* node) {
 
 void QpipeEngine::RecordShare(const PlanNode* node) {
   MutexLock lock(mu_);
-  switch (node->kind) {
-    case PlanNode::Kind::kScan:
-      ++counters_.scan_shares;
-      break;
-    case PlanNode::Kind::kHashJoin: {
-      const int depth = JoinDepth(node);
-      const size_t slot =
-          std::min<size_t>(static_cast<size_t>(depth) - 1,
-                           counters_.join_shares_by_depth.size() - 1);
-      ++counters_.join_shares_by_depth[slot];
-      break;
-    }
-    case PlanNode::Kind::kAggregate:
-      ++counters_.agg_shares;
-      break;
-    case PlanNode::Kind::kSort:
-      ++counters_.sort_shares;
-      break;
+  if (node->kind == PlanNode::Kind::kScan) {
+    ++counters_.scan_shares;
+    return;
   }
+  // Otherwise a join: SpEnabledFor shares no other stage.
+  const int depth = JoinDepth(node);
+  const size_t slot =
+      std::min<size_t>(static_cast<size_t>(depth) - 1,
+                       counters_.join_shares_by_depth.size() - 1);
+  ++counters_.join_shares_by_depth[slot];
 }
 
 std::unique_ptr<core::PageSource> QpipeEngine::BuildProducer(

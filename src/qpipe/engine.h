@@ -41,12 +41,9 @@ struct QpipeOptions {
   core::CommModel comm = core::CommModel::kPull;
   /// Scan-stage sharing: circular scans + identical-scan SP ("CS").
   bool sp_scan = false;
-  /// Join-stage SP (identical join sub-plans).
+  /// Join-stage SP (identical join sub-plans). Aggregation and sort stages
+  /// never share: the paper's experiments run them unshared.
   bool sp_join = false;
-  /// Aggregation-stage SP (off in the paper's experiments).
-  bool sp_agg = false;
-  /// Sort-stage SP (off in the paper's experiments).
-  bool sp_sort = false;
   /// Byte bound of every FIFO / SPL (paper uses 256 KB).
   size_t channel_bytes = 256 * 1024;
   /// Scheduler governing the stage run queues (priority/aging policy) and
@@ -66,8 +63,6 @@ struct QpipeOptions {
 /// "1st/2nd/3rd hash-join" share counts of Figure 15).
 struct SpCounters {
   uint64_t scan_shares = 0;
-  uint64_t agg_shares = 0;
-  uint64_t sort_shares = 0;
   std::array<uint64_t, 8> join_shares_by_depth{};  // [0] = first hash join
 
   uint64_t join_shares_total() const {

@@ -16,10 +16,10 @@ void FlatInt64HashTable::Grow() {
 
 void FlatInt64HashTable::ProbeBatch(const int64_t* keys, size_t n,
                                     uint64_t* out_values) const {
-  // Group staging mirrors Int64HashTable::ProbeBatch, but the flat layout
-  // needs only ONE prefetch pass: a key's home slot usually holds its match
-  // (or the empty slot proving a miss), so there is no second dependent
-  // bucket→entry hop to hide.
+  // Keys are staged in groups: one pass hashes and prefetches each key's
+  // home slot, one pass resolves. One prefetch pass suffices: a key's home
+  // slot usually holds its match (or the empty slot proving a miss), so
+  // there is no second dependent bucket→entry hop to hide.
   constexpr size_t kGroup = 32;
   uint64_t pos[kGroup];
   const Slot* __restrict slots = slots_.data();

@@ -1,5 +1,5 @@
-// Flat open-addressing hash table over int64 join keys: the densified probe
-// structure behind the CJOIN filters' columnar hot path.
+// Flat open-addressing hash table over int64 join keys: the one probe
+// structure of every CJOIN filter, on fact pages of either layout.
 //
 // The chained Int64HashTable resolves a probe through two dependent loads
 // (bucket head → entry node) at unrelated addresses; this table stores
@@ -9,10 +9,10 @@
 // inside the same (or the next) cache line.
 //
 // Unlike the chained table there is no Build() freeze step: FindOrInsert is
-// incremental, so CJOIN admission grows the table in place at every pause
-// (replacing the std::unordered_map admission index AND the probe path for
-// columnar batches). kMissValue is the one reserved value — it marks empty
-// slots and is the ProbeBatch miss result, so it cannot be stored.
+// incremental, so CJOIN admission grows the table in place at every pause,
+// and the same table serves the filter's batched probe. Keys are unique.
+// kMissValue is the one reserved value — it marks empty slots and is the
+// ProbeBatch miss result, so it cannot be stored.
 
 #ifndef SDW_QPIPE_FLAT_HASH_TABLE_H_
 #define SDW_QPIPE_FLAT_HASH_TABLE_H_

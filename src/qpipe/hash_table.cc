@@ -1,57 +1,8 @@
 #include "qpipe/hash_table.h"
 
-#include <algorithm>
 #include <bit>
 
 namespace sdw::qpipe {
-
-void Int64HashTable::ProbeBatch(const int64_t* keys, size_t n,
-                                uint64_t* out_values) const {
-  SDW_DCHECK(built_);
-  if (buckets_.empty()) {
-    std::fill(out_values, out_values + n, kMissValue);
-    return;
-  }
-  // Process keys in groups: one pass hashing + prefetching the bucket heads,
-  // one pass loading heads + prefetching the first chain node, one pass
-  // walking the (short, ~0.5 load factor) chains. The group size covers the
-  // latency of the dependent loads without spilling the staging arrays out
-  // of L1. Local restrict-qualified pointers let the compiler keep the
-  // stage loops tight: the out_values stores cannot be proven non-aliasing
-  // with the member arrays otherwise.
-  constexpr size_t kGroup = 32;
-  uint64_t hashes[kGroup];
-  uint32_t heads[kGroup];
-  const uint32_t* __restrict buckets = buckets_.data();
-  const Entry* __restrict entries = entries_.data();
-  const int64_t* __restrict in = keys;
-  uint64_t* __restrict out = out_values;
-  const uint64_t mask = mask_;
-  for (size_t base = 0; base < n; base += kGroup) {
-    const size_t g = std::min(kGroup, n - base);
-    for (size_t j = 0; j < g; ++j) {
-      hashes[j] = HashKey(in[base + j]);
-      SDW_PREFETCH(&buckets[hashes[j] & mask]);
-    }
-    for (size_t j = 0; j < g; ++j) {
-      heads[j] = buckets[hashes[j] & mask];
-      if (heads[j] != kNone) SDW_PREFETCH(&entries[heads[j]]);
-    }
-    for (size_t j = 0; j < g; ++j) {
-      uint64_t v = kMissValue;
-      uint32_t i = heads[j];
-      while (i != kNone) {
-        const Entry& e = entries[i];
-        if (e.hash == hashes[j] && e.key == in[base + j]) {
-          v = e.value;
-          break;
-        }
-        i = e.next;
-      }
-      out[base + j] = v;
-    }
-  }
-}
 
 void Int64HashTable::Build() {
   built_ = true;

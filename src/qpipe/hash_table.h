@@ -1,7 +1,8 @@
-// Chained hash table over int64 join keys, shared by the query-centric hash
-// join and the CJOIN filters. Hand-rolled (rather than std::unordered_map) so
-// the benchmark harness can attribute hash/equal work to the paper's
-// "Hashing" CPU bucket separately from the rest of the join.
+// Chained hash table over int64 join keys for the query-centric hash join
+// (duplicate build keys allowed; the CJOIN filters, keyed by unique
+// dimension PKs, use FlatInt64HashTable instead). Hand-rolled (rather than
+// std::unordered_map) so the benchmark harness can attribute hash/equal work
+// to the paper's "Hashing" CPU bucket separately from the rest of the join.
 
 #ifndef SDW_QPIPE_HASH_TABLE_H_
 #define SDW_QPIPE_HASH_TABLE_H_
@@ -22,9 +23,8 @@ inline uint64_t HashKey(int64_t key) {
 }
 
 /// Append-then-freeze chained table: Insert entries, Build(), then probe.
-/// Inserting again un-freezes the table; Build() relinks from scratch (used
-/// by CJOIN filters, whose tables grow at every admission pause). Values are
-/// opaque 64-bit payloads (pointer or index).
+/// Inserting again un-freezes the table; Build() relinks from scratch.
+/// Values are opaque 64-bit payloads (pointer or index).
 class Int64HashTable {
  public:
   /// Appends an entry (pre-hashed by the caller so hash time is measured at
@@ -37,7 +37,6 @@ class Int64HashTable {
   /// (Re)links buckets over all entries; idempotent.
   void Build();
 
-  bool built() const { return built_; }
   size_t size() const { return entries_.size(); }
 
   /// Invokes `fn(value)` for every entry matching (hash, key).
@@ -60,27 +59,15 @@ class Int64HashTable {
     return n;
   }
 
-  /// ProbeBatch result for keys with no matching entry.
-  static constexpr uint64_t kMissValue = ~uint64_t{0};
+ private:
+  static constexpr uint32_t kNone = ~uint32_t{0};
 
-  /// Batch-at-a-time probe: hashes the whole key array, software-prefetches
-  /// bucket heads (and first chain nodes) in groups, then resolves chains.
-  /// out_values[i] receives the value of the first matching entry in chain
-  /// order, or kMissValue. For unique-key tables (e.g. the CJOIN filters,
-  /// keyed by dimension PKs) this is the unique match.
-  void ProbeBatch(const int64_t* keys, size_t n, uint64_t* out_values) const;
-
-  /// All stored entries, for whole-table iteration (CJOIN admission).
   struct Entry {
     uint64_t hash;
     int64_t key;
     uint64_t value;
     uint32_t next;
   };
-  const std::vector<Entry>& entries() const { return entries_; }
-
- private:
-  static constexpr uint32_t kNone = ~uint32_t{0};
 
   std::vector<Entry> entries_;
   std::vector<uint32_t> buckets_;

@@ -28,6 +28,50 @@ bool Compare(CompareOp op, const T& a, const T& b) {
   return false;
 }
 
+// Verdict of atom `a` on the field `f` points at: a value of column a.col of
+// `schema`, read the same way whatever layout the field came from.
+bool EvalAtom(const Predicate::Bound::Atom& a, const storage::Schema& schema,
+              const std::byte* f) {
+  if (a.is_string) {
+    std::string_view raw(reinterpret_cast<const char*>(f),
+                         schema.column(a.col).size);
+    size_t end = raw.size();
+    while (end > 0 && raw[end - 1] == ' ') --end;  // kChar is space-padded
+    return Compare(a.op, raw.substr(0, end), std::string_view(a.sval));
+  }
+  if (a.type == storage::ColumnType::kDouble) {
+    double v;
+    std::memcpy(&v, f, sizeof(v));
+    return Compare(a.op, v, static_cast<double>(a.ival));
+  }
+  int64_t v;
+  if (a.type == storage::ColumnType::kInt32) {
+    int32_t v32;
+    std::memcpy(&v32, f, sizeof(v32));
+    v = v32;
+  } else {
+    std::memcpy(&v, f, sizeof(v));
+  }
+  return Compare(a.op, v, a.ival);
+}
+
+// The CNF walk over fields located by `field(col)`.
+template <typename FieldFn>
+bool EvalCnf(const std::vector<std::vector<Predicate::Bound::Atom>>& cnf,
+             const storage::Schema& schema, FieldFn field) {
+  for (const auto& clause : cnf) {
+    bool any = false;
+    for (const auto& a : clause) {
+      if (EvalAtom(a, schema, field(a.col))) {
+        any = true;
+        break;
+      }
+    }
+    if (!any) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* CompareOpName(CompareOp op) {
@@ -95,68 +139,16 @@ Predicate::Bound Predicate::Bind(const storage::Schema& schema) const {
 
 bool Predicate::Bound::Eval(const storage::Schema& schema,
                             const std::byte* tuple) const {
-  for (const auto& clause : cnf) {
-    bool any = false;
-    for (const auto& a : clause) {
-      bool hit;
-      if (a.is_string) {
-        hit = Compare(a.op, schema.GetChar(tuple, a.col),
-                      std::string_view(a.sval));
-      } else if (a.type == storage::ColumnType::kDouble) {
-        hit = Compare(a.op, schema.GetDouble(tuple, a.col),
-                      static_cast<double>(a.ival));
-      } else {
-        hit = Compare(a.op, schema.GetIntAny(tuple, a.col), a.ival);
-      }
-      if (hit) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) return false;
-  }
-  return true;
+  return EvalCnf(cnf, schema,
+                 [&](size_t col) { return tuple + schema.offset(col); });
 }
 
 bool Predicate::Bound::EvalAt(const storage::Schema& schema,
                               const storage::Page& page, uint32_t i) const {
-  if (!page.columnar()) return Eval(schema, page.tuple(i));
-  for (const auto& clause : cnf) {
-    bool any = false;
-    for (const auto& a : clause) {
-      // Gather-free: the field pointer lands inside the column's minipage,
-      // so only the referenced columns' cache lines are touched.
-      const std::byte* f = page.field(schema, a.col, i);
-      bool hit;
-      if (a.is_string) {
-        std::string_view raw(reinterpret_cast<const char*>(f),
-                             schema.column(a.col).size);
-        size_t end = raw.size();
-        while (end > 0 && raw[end - 1] == ' ') --end;
-        hit = Compare(a.op, raw.substr(0, end), std::string_view(a.sval));
-      } else if (a.type == storage::ColumnType::kDouble) {
-        double v;
-        std::memcpy(&v, f, sizeof(v));
-        hit = Compare(a.op, v, static_cast<double>(a.ival));
-      } else {
-        int64_t v;
-        if (a.type == storage::ColumnType::kInt32) {
-          int32_t v32;
-          std::memcpy(&v32, f, sizeof(v32));
-          v = v32;
-        } else {
-          std::memcpy(&v, f, sizeof(v));
-        }
-        hit = Compare(a.op, v, a.ival);
-      }
-      if (hit) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) return false;
-  }
-  return true;
+  // On a PAX page the field pointer lands inside the column's minipage, so
+  // only the referenced columns' cache lines are touched.
+  return EvalCnf(cnf, schema,
+                 [&](size_t col) { return page.field(schema, col, i); });
 }
 
 std::string Predicate::Signature() const {

@@ -80,9 +80,9 @@ class Predicate {
     /// Evaluates the bound predicate on a tuple.
     bool Eval(const storage::Schema& schema, const std::byte* tuple) const;
     /// Evaluates the bound predicate on tuple `i` of `page` under either
-    /// page layout: per-minipage field reads for PAX pages, plain Eval for
-    /// row-major ones. Identical verdicts across layouts (the columnar
-    /// differential suite pins this).
+    /// page layout, reading each field through Page::field. Eval and EvalAt
+    /// share one atom body, so verdicts are identical across layouts (the
+    /// columnar differential suite pins this).
     bool EvalAt(const storage::Schema& schema, const storage::Page& page,
                 uint32_t i) const;
     bool IsTrue() const { return cnf.empty(); }

@@ -9,13 +9,14 @@
 //    Every intermediate-result page (operator channels, result sinks) is
 //    row-major.
 //  * PAX (column-major within the page): one 64-byte-aligned minipage per
-//    column, produced by Page::MakeColumnar against a PageLayout. Hot
-//    kernels read a whole column as a contiguous vector (column_data), so
-//    scans touch only the cache lines of the columns they use. Produced by
-//    Table::ConvertToColumnar for scan-heavy base tables (the fact table).
+//    column, produced by Page::MakeColumnar against a PageLayout. A column
+//    is one contiguous vector, so scans touch only the cache lines of the
+//    columns they use. Produced by Table::ConvertToColumnar for scan-heavy
+//    base tables (the fact table).
 //
-// Consumers dispatch per page via columnar(); field() is the layout-neutral
-// per-field accessor. See docs/STORAGE.md for the layout diagram and rules.
+// Fact-page readers never branch on the layout: column() gives a column's
+// first field and its stride under either layout, and field() is built on
+// it. See docs/STORAGE.md for the layout diagram and rules.
 
 #ifndef SDW_STORAGE_PAGE_H_
 #define SDW_STORAGE_PAGE_H_
@@ -116,21 +117,27 @@ class Page {
     return payload_ + static_cast<size_t>(i) * tuple_size_;
   }
 
-  /// Base of column `col`'s minipage: `tuple_count()` contiguous values of
-  /// `layout()->column_width(col)` bytes each. Columnar pages only.
-  const std::byte* column_data(size_t col) const {
-    SDW_DCHECK(layout_ != nullptr);
-    return payload_ + layout_->column_offset(col);
+  /// Column `col` of a page of `schema` tuples: tuple i's field sits at
+  /// `first + i * stride` under either layout. The stride is the tuple size
+  /// on a row-major page and the value width inside a PAX minipage, where
+  /// the column is one contiguous, 64-byte-aligned vector.
+  struct ColumnView {
+    const std::byte* first;
+    size_t stride;
+  };
+  ColumnView column(const Schema& schema, size_t col) const {
+    if (layout_ != nullptr) {
+      return {payload_ + layout_->column_offset(col),
+              layout_->column_width(col)};
+    }
+    return {payload_ + schema.offset(col), tuple_size_};
   }
 
   /// Layout-neutral pointer to field `col` of tuple `i`.
   const std::byte* field(const Schema& schema, size_t col, uint32_t i) const {
     SDW_DCHECK(i < tuple_count_);
-    if (layout_ != nullptr) {
-      return payload_ + layout_->column_offset(col) +
-             static_cast<size_t>(i) * layout_->column_width(col);
-    }
-    return payload_ + static_cast<size_t>(i) * tuple_size_ + schema.offset(col);
+    const ColumnView c = column(schema, col);
+    return c.first + static_cast<size_t>(i) * c.stride;
   }
 
   /// Layout-neutral read of an integer column of either width as int64.

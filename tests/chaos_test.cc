@@ -214,7 +214,7 @@ void TestSharedAggFaultIsolation(Db* db) {
 // and the shared aggregation group recycle cleanly after a faulted fold.
 void TestFoldedSatellitesShareHostFault(Db* db) {
   core::EngineOptions opts = CjoinOpts();
-  opts.query_folding = true;
+  opts.cjoin.query_folding = true;
   opts.cjoin.fold_bits = 64;
   core::Engine engine(&db->catalog, db->pool.get(), opts);
   ScopedFaults faults(105);
@@ -425,7 +425,7 @@ void TestOverloadSheddingAndResubmit(Db* db) {
   core::EngineOptions opts = CjoinOpts();
   opts.resilience.memory_budget_bytes =
       4 * cjoin::CjoinPipeline::kAdmissionCostBytes;
-  opts.resilience.overload_retry_after_nanos = 2'000'000;
+  opts.cjoin.overload_retry_after_nanos = 2'000'000;
   core::Engine engine(&db->catalog, db->pool.get(), opts);
 
   const auto queries = ssb::RandomQ32Workload(12, 9400);
@@ -462,7 +462,7 @@ void TestOverloadSheddingAndResubmit(Db* db) {
   while (!again.empty()) {
     SDW_CHECK_MSG(++rounds <= 10, "overload resubmission did not converge");
     std::this_thread::sleep_for(
-        std::chrono::nanoseconds(opts.resilience.overload_retry_after_nanos));
+        std::chrono::nanoseconds(opts.cjoin.overload_retry_after_nanos));
     const auto tickets2 = engine.SubmitBatch(again);
     std::vector<query::StarQuery> still_shed;
     for (size_t i = 0; i < tickets2.size(); ++i) {

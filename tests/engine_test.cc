@@ -96,20 +96,6 @@ TEST(QpipeEngine, WopClosedForLateArrivals) {
   EXPECT_EQ(engine.sp_counters().join_shares_total(), 0u);
 }
 
-TEST(QpipeEngine, AggregationSpWhenEnabled) {
-  // SP at the aggregation stage is off in the paper's experiments but
-  // implemented; identical full queries then share at the agg/sort level.
-  TestDb* db = SharedSsbDb();
-  core::EngineOptions opts = Opts(EngineConfig::kQpipeSp);
-  opts.sp_agg = true;
-  opts.sp_sort = true;
-  core::Engine engine(&db->catalog, db->pool.get(), opts);
-  const auto handles = engine.SubmitBatch(ssb::SimilarQ32Workload(4, 1, 54));
-  for (const auto& h : handles) ASSERT_TRUE(h.Wait().ok());
-  const qpipe::SpCounters c = engine.sp_counters();
-  EXPECT_EQ(c.sort_shares, 3u);  // topmost stage absorbs the satellites
-}
-
 TEST(CjoinEngine, AdmissionBatchesSingleSubmissionBatch) {
   TestDb* db = SharedSsbDb();
   core::Engine engine(&db->catalog, db->pool.get(), Opts(EngineConfig::kCjoin));

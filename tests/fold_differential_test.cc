@@ -46,7 +46,7 @@ testing::TestDb* Db() {
 EngineOptions FoldOptions(bool folding, size_t slot_cap) {
   EngineOptions opts;
   opts.config = core::EngineConfig::kCjoin;
-  opts.query_folding = folding;
+  opts.cjoin.query_folding = folding;
   opts.cjoin.max_queries = slot_cap;
   opts.cjoin.fold_bits = 256;
   return opts;

@@ -488,7 +488,7 @@ TEST_P(SharedAggSliceProperty, SliceEqualsQualifyingTuples) {
       for (uint32_t i = 0; i < batch.num_tuples; ++i) {
         if (!batch.tuple_live(i)) continue;
         if (!bits::Test(batch.tuple_bits(i), s)) continue;
-        const std::byte* t = batch.fact_tuple(i);
+        const std::byte* t = batch.fact_page->tuple(i);  // row-major fact
         if (!preds[s].IsTrue() && !preds[s].Eval(fs, t)) continue;
         std::string key(reinterpret_cast<const char*>(t + fs.offset(0)),
                         fs.column(0).width());
