@@ -22,7 +22,7 @@
 //
 // Step 6 shows the scheduler: SubmitOptions{priority} actually changes
 // completion order (a capped stage pops the highest-priority packet first)
-// and SubmitOptions{deadline_nanos} is enforced by the timer wheel — the
+// and SubmitOptions{deadline_nanos} is enforced by the timer queue — the
 // expired ticket completes DEADLINE_EXCEEDED promptly, even if no result
 // page ever arrives to notice it on.
 //
@@ -118,7 +118,7 @@ int main() {
   }
 
   // 6. Scheduling: SubmitOptions{priority} actually changes run order, and
-  //    SubmitOptions{deadline_nanos} is enforced by the timer wheel.
+  //    SubmitOptions{deadline_nanos} is enforced by the timer queue.
   //
   //    Plain-QPipe engine, scan stage capped at ONE worker, three scan-only
   //    queries in one arrival batch (one packet each, so the cap is safe —
@@ -151,7 +151,7 @@ int main() {
   }
 
   //    Deadlines: queue a scan behind a running one with a 5 ms budget.
-  //    The timer wheel fires RequestCancel(DEADLINE_EXCEEDED) at expiry —
+  //    The timer queue fires RequestCancel(DEADLINE_EXCEEDED) at expiry —
   //    the ticket completes in ~5 ms even though its packet never ran and
   //    no result page ever arrived to notice the deadline on.
   auto blocker = sched_engine.Submit(scan_q);  // occupies the one worker

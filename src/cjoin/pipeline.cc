@@ -200,8 +200,6 @@ void CjoinPipeline::CancelActiveQueries(const Status& why) {
 // ------------------------------------------------------------- preprocessor
 
 void CjoinPipeline::PreprocessorLoop() {
-  const storage::Schema& fact_schema = fact_->schema();
-  (void)fact_schema;
   while (true) {
     {
       MutexLock lock(mu_);
@@ -307,13 +305,11 @@ void CjoinPipeline::PreprocessorLoop() {
         // riders actually finish.
         bool due = false;
         if (!aq->client_done &&
-            (--aq->pages_remaining == 0 ||
-             aq->DetachedThrottled(options_.detach_check_interval_pages))) {
+            (--aq->pages_remaining == 0 || aq->DetachedThrottled())) {
           due = true;
         }
         for (auto& sat : aq->satellites) {
-          if (--sat->pages_remaining == 0 ||
-              sat->DetachedThrottled(options_.detach_check_interval_pages)) {
+          if (--sat->pages_remaining == 0 || sat->DetachedThrottled()) {
             due = true;
           }
         }
@@ -785,14 +781,13 @@ std::vector<SharedAggregator::Residual> CjoinPipeline::BuildResiduals(
         break;
       }
     }
-    r.dim_schema = &dim_table->schema();
-    r.pred = dim.pred.Bind(dim_table->schema());
+    const query::Predicate::Bound pred = dim.pred.Bind(dim_table->schema());
     // Memoize the verdict per dimension row (tables are immutable): one
     // pass over a small dimension here buys bit-test residual checks on
     // the fact-scan hot path for the satellite's whole lifetime.
     r.row_pass.assign(bits::WordsFor(dim_table->num_rows()), 0);
     for (size_t row = 0; row < dim_table->num_rows(); ++row) {
-      if (r.pred.Eval(*r.dim_schema, dim_table->row(row))) {
+      if (pred.Eval(dim_table->schema(), dim_table->row(row))) {
         bits::Set(r.row_pass.data(), row);
       }
     }
@@ -1257,10 +1252,7 @@ void CjoinPipeline::EmitRows(ActiveQuery* aq, const TupleBatch& batch,
       for (const auto& r : aq->residuals) {
         const uint32_t row = dim_rows[r.filter_pos];
         SDW_DCHECK(row != kNoDimRow);
-        if (r.row_pass.empty()
-                ? !r.pred.Eval(*r.dim_schema,
-                               filters_[r.filter_pos]->dim_table()->row(row))
-                : !bits::Test(r.row_pass.data(), row)) {
+        if (!bits::Test(r.row_pass.data(), row)) {
           pass = false;
           break;
         }

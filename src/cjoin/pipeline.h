@@ -68,11 +68,6 @@ struct CjoinOptions {
   /// slot to a long low-priority backlog. False = seed FIFO (the scheduler's
   /// priority_enabled switch turns this off for the bench baseline).
   bool priority_admission = true;
-  /// Scanned pages between full re-evaluations of a slot's group cancel
-  /// signal (the SP AllConsumersDetached registry walk); the cached per-slot
-  /// atomic answers in between. Lifecycle-only checks are lock-free and run
-  /// every page regardless.
-  uint32_t detach_check_interval_pages = 16;
   /// Overload gate: when set, each admission reserves kAdmissionCostBytes
   /// before costing a slot; a pending query that cannot reserve is shed
   /// with kResourceExhausted + a retry_after hint instead of queueing
@@ -332,6 +327,12 @@ class CjoinPipeline {
   void CancelActiveQueries(const Status& why);
 
  private:
+  /// Scanned pages between full re-evaluations of a slot's group cancel
+  /// signal (the SP AllConsumersDetached registry walk); the cached per-slot
+  /// atomic answers in between. Lifecycle-only checks are lock-free and run
+  /// every page regardless.
+  static constexpr uint32_t kDetachCheckIntervalPages = 16;
+
   struct ActiveQuery {
     uint32_t slot = 0;
     query::StarQuery q;
@@ -396,7 +397,7 @@ class CjoinPipeline {
       return d;
     }
 
-    /// Hot-path view of Detached(): at most detach_check_interval_pages
+    /// Hot-path view of Detached(): at most kDetachCheckIntervalPages
     /// stale for SP group signals, one page for lifecycle-only queries.
     std::atomic<bool> detached_cache{false};
 
@@ -407,18 +408,16 @@ class CjoinPipeline {
     /// Per-page cancel check for the preprocessor's scan loop: lifecycle
     /// signals (cancel/deadline/done — plain atomics) are checked every
     /// page, but a locked group `cancelled()` walk runs only every
-    /// `interval` pages, answering from the cached per-slot atomic in
-    /// between.
-    bool DetachedThrottled(uint32_t interval) {
+    /// kDetachCheckIntervalPages pages, answering from the cached per-slot
+    /// atomic in between.
+    bool DetachedThrottled() {
       if (detached_cache.load(std::memory_order_relaxed)) return true;
       if (!cancelled) return Detached();  // lock-free lifecycle check
       if (detach_check_countdown > 1) {
         --detach_check_countdown;
         return false;
       }
-      // interval 0 degrades to every-page checking (the pre-throttle
-      // behavior), never to an unsigned wraparound.
-      detach_check_countdown = interval < 1 ? 1 : interval;
+      detach_check_countdown = kDetachCheckIntervalPages;
       return Detached();
     }
 

@@ -398,9 +398,7 @@ void SharedAggregator::FoldBatch(Group* g, const TupleBatch& batch,
               for (const Residual& r : mem.residuals) {
                 const uint32_t dr = dim_rows[r.filter_pos];
                 SDW_DCHECK(dr != kNoDimRow);
-                if (r.row_pass.empty()
-                        ? !r.pred.Eval(*r.dim_schema, dim_row(r.filter_pos, dr))
-                        : !bits::Test(r.row_pass.data(), dr)) {
+                if (!bits::Test(r.row_pass.data(), dr)) {
                   pass = false;
                   break;
                 }

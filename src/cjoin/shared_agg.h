@@ -87,13 +87,11 @@ class SharedAggregator {
   /// where it differs from its host's (identical predicates need no
   /// residual — the host's filter verdict is already exact for them).
   struct Residual {
-    size_t filter_pos = 0;                 // batch dim_rows column
-    const storage::Schema* dim_schema = nullptr;
-    query::Predicate::Bound pred;          // bound on *dim_schema
-    /// Memoized verdict per dimension-table row (bit r == pred on row r):
+    size_t filter_pos = 0;  // batch dim_rows column
+    /// Verdict per dimension-table row (bit r == the predicate on row r):
     /// dimension tables are immutable, so the pipeline precomputes this once
     /// at fold time and the hot path pays one bit test per tuple instead of
-    /// interpreting the predicate. Empty = not memoized (evaluate `pred`).
+    /// interpreting the predicate.
     std::vector<uint64_t> row_pass;
   };
 

@@ -1,137 +1,62 @@
 #include "cjoin/tuple_batch.h"
 
-#include <bit>
+#include <algorithm>
 
 namespace sdw::cjoin {
 
 BatchQueue::BatchQueue(size_t capacity)
-    : capacity_(std::bit_ceil(capacity < 2 ? size_t{2} : capacity)),
-      mask_(capacity_ - 1),
-      slots_(new Slot[capacity_]) {
-  for (size_t i = 0; i < capacity_; ++i) {
-    slots_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
-bool BatchQueue::TryPut(BatchPtr* batch) {
-  size_t pos = tail_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& s = slots_[pos & mask_];
-    const size_t seq = s.seq.load(std::memory_order_acquire);
-    const intptr_t dif =
-        static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
-    if (dif == 0) {
-      if (tail_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        s.batch = std::move(*batch);
-        s.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // full
-    } else {
-      pos = tail_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool BatchQueue::TryTake(BatchPtr* batch) {
-  size_t pos = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& s = slots_[pos & mask_];
-    const size_t seq = s.seq.load(std::memory_order_acquire);
-    const intptr_t dif =
-        static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1);
-    if (dif == 0) {
-      if (head_.compare_exchange_weak(pos, pos + 1,
-                                      std::memory_order_relaxed)) {
-        *batch = std::move(s.batch);
-        s.seq.store(pos + capacity_, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // empty
-    } else {
-      pos = head_.load(std::memory_order_relaxed);
-    }
-  }
-}
+    : capacity_(std::max<size_t>(capacity, 1)), ring_(capacity_) {}
 
 bool BatchQueue::Put(BatchPtr batch) {
-  if (closed_.load(std::memory_order_acquire)) return false;
-  bool ok = TryPut(&batch);
-  if (!ok) {
-    // Full: park on the slow path until a consumer frees a slot or close.
+  {
     MutexLock lock(mu_);
-    waiting_producers_.fetch_add(1, std::memory_order_seq_cst);
-    // Fence the count increment against the ring re-check below: pairs with
-    // the fast path's fence (ring update, then count read), so either our
-    // re-check sees the free slot or the consumer sees our registration and
-    // notifies — the lost-wakeup interleaving is forbidden, no timed
-    // backstop needed.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
     bool waited = false;
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) break;
-      if (TryPut(&batch)) {
-        ok = true;
-        break;
-      }
-      if (waited) futile_wakeups_.fetch_add(1, std::memory_order_relaxed);
+    while (!closed_ && size_ == capacity_) {
+      if (waited) ++futile_wakeups_;
       not_full_.Wait(mu_);
       waited = true;
     }
-    waiting_producers_.fetch_sub(1, std::memory_order_seq_cst);
+    if (closed_) return false;
+    ring_[(head_ + size_) % capacity_] = std::move(batch);
+    ++size_;
   }
-  if (ok) {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiting_consumers_.load(std::memory_order_relaxed) != 0) {
-      MutexLock lock(mu_);
-      not_empty_.NotifyOne();
-    }
-  }
-  return ok;
+  not_empty_.NotifyOne();
+  return true;
 }
 
 BatchPtr BatchQueue::Take() {
   BatchPtr batch;
-  bool ok = TryTake(&batch);
-  if (!ok) {
+  {
     MutexLock lock(mu_);
-    waiting_consumers_.fetch_add(1, std::memory_order_seq_cst);
-    // See Put: the fence makes registration-then-recheck atomic against the
-    // fast path's update-then-count-read, closing the pre-park window.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
     bool waited = false;
-    for (;;) {
-      if (TryTake(&batch)) {
-        ok = true;
-        break;
-      }
-      // Closed and (post-check) empty: drained. Producers must stop before
-      // Close for a complete drain; the pipeline joins them first.
-      if (closed_.load(std::memory_order_acquire)) break;
-      if (waited) futile_wakeups_.fetch_add(1, std::memory_order_relaxed);
+    while (!closed_ && size_ == 0) {
+      if (waited) ++futile_wakeups_;
       not_empty_.Wait(mu_);
       waited = true;
     }
-    waiting_consumers_.fetch_sub(1, std::memory_order_seq_cst);
+    // Closed and empty: drained. Producers must stop before Close for a
+    // complete drain; the pipeline joins them first.
+    if (size_ == 0) return nullptr;
+    batch = std::move(ring_[head_]);
+    head_ = (head_ + 1) % capacity_;
+    --size_;
   }
-  if (ok) {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiting_producers_.load(std::memory_order_relaxed) != 0) {
-      MutexLock lock(mu_);
-      not_full_.NotifyOne();
-    }
-  }
+  not_full_.NotifyOne();
   return batch;
 }
 
 void BatchQueue::Close() {
-  closed_.store(true, std::memory_order_seq_cst);
-  MutexLock lock(mu_);
+  {
+    MutexLock lock(mu_);
+    closed_ = true;
+  }
   not_full_.NotifyAll();
   not_empty_.NotifyAll();
+}
+
+uint64_t BatchQueue::futile_wakeups() const {
+  MutexLock lock(mu_);
+  return futile_wakeups_;
 }
 
 storage::PagePtr SlotOutputBuffer::TakePage() {

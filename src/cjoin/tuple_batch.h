@@ -73,15 +73,12 @@ struct TupleBatch {
 
 using BatchPtr = std::shared_ptr<TupleBatch>;
 
-/// Bounded multi-producer / multi-consumer batch queue.
-///
-/// The common case — a slot is free to produce into / an item is ready to
-/// consume — runs on a lock-free bounded ring buffer (per-slot sequence
-/// numbers, Vyukov-style). The mutex + condition variables are touched only
-/// on the blocking slow path (queue full / queue empty / close).
+/// Bounded multi-producer / multi-consumer batch queue: a ring of
+/// `capacity` batches under one mutex, with one condition variable per
+/// blocking side.
 class BatchQueue {
  public:
-  /// `capacity` is rounded up to a power of two (min 2).
+  /// Holds at most `capacity` batches (raised to 1 when smaller).
   explicit BatchQueue(size_t capacity);
   SDW_DISALLOW_COPY(BatchQueue);
 
@@ -100,47 +97,22 @@ class BatchQueue {
   size_t capacity() const { return capacity_; }
 
   /// Wakeups that found neither an item / free slot nor a close and went
-  /// back to sleep. The notify protocol is precise — a quiescent queue must
-  /// hold its waiters asleep indefinitely (zero futile wakeups; stress-test
-  /// asserted). Contended hand-offs can still produce a few (notify_one
-  /// racing another thread to the slot), so this counts occurrences, not
-  /// errors.
-  uint64_t futile_wakeups() const {
-    return futile_wakeups_.load(std::memory_order_relaxed);
-  }
+  /// back to sleep. A quiescent queue holds its waiters asleep indefinitely
+  /// (zero futile wakeups; stress-test asserted). Contended hand-offs can
+  /// still produce a few (a woken waiter losing the slot to a thread that
+  /// never slept), so this counts occurrences, not errors.
+  uint64_t futile_wakeups() const;
 
  private:
-  struct Slot {
-    std::atomic<size_t> seq;
-    BatchPtr batch;
-  };
-
-  /// Non-blocking enqueue; false when the ring is full.
-  bool TryPut(BatchPtr* batch);
-  /// Non-blocking dequeue; false when the ring is empty.
-  bool TryTake(BatchPtr* batch);
-
-  const size_t capacity_;  // power of two
-  const size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  alignas(64) std::atomic<size_t> tail_{0};  // next Put ticket
-  alignas(64) std::atomic<size_t> head_{0};  // next Take ticket
-  alignas(64) std::atomic<bool> closed_{false};
-
-  // Slow path only. Waiter counts let the fast path skip the mutex when
-  // nobody is blocked. The notify protocol is precise (untimed waits): the
-  // store-buffering outcome "fast path reads waiter-count 0 AND the parking
-  // waiter's ring re-check misses the item" is forbidden by a seq_cst fence
-  // on BOTH sides — between the ring update and the count read (fast path),
-  // and between the count increment and the ring re-check (waiter). Once a
-  // waiter is parked, every notify happens under mu_, which the waiter held
-  // from before its re-check — no wakeup can fall into the gap.
-  Mutex mu_{lock_rank::Rank::kBatchQueue};
+  const size_t capacity_;
+  mutable Mutex mu_{lock_rank::Rank::kBatchQueue};
   CondVar not_full_;
   CondVar not_empty_;
-  std::atomic<int> waiting_producers_{0};
-  std::atomic<int> waiting_consumers_{0};
-  std::atomic<uint64_t> futile_wakeups_{0};
+  std::vector<BatchPtr> ring_ GUARDED_BY(mu_);  // capacity_ slots
+  size_t head_ GUARDED_BY(mu_) = 0;             // oldest batch
+  size_t size_ GUARDED_BY(mu_) = 0;
+  bool closed_ GUARDED_BY(mu_) = false;
+  uint64_t futile_wakeups_ GUARDED_BY(mu_) = 0;
 };
 
 /// Per-query output page buffering for the distributor parts.

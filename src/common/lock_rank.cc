@@ -143,8 +143,8 @@ const char* RankName(int rank) {
       return "channel";
     case Rank::kBatchQueue:
       return "batch-queue";
-    case Rank::kTimerWheel:
-      return "timer-wheel";
+    case Rank::kTimerQueue:
+      return "timer-queue";
     case Rank::kBufferPool:
       return "buffer-pool";
     case Rank::kStorageDevice:

@@ -54,11 +54,11 @@ enum class Rank : int {
   kTeeSink = 75,
   /// Page channels: SharedPagesList and FifoBuffer.
   kChannel = 80,
-  /// BatchQueue blocking slow path.
+  /// BatchQueue ring between CJOIN pipeline stages.
   kBatchQueue = 90,
-  /// TimerWheel (finish hooks cancel deadline timers while holding
+  /// TimerQueue (finish hooks cancel deadline timers while holding
   /// pipeline-level locks).
-  kTimerWheel = 100,
+  kTimerQueue = 100,
   /// BufferPool replacement state (misses read the device while unlocked).
   kBufferPool = 110,
   /// StorageDevice cache/latency model.

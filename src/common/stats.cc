@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace sdw {
 
@@ -43,13 +42,6 @@ double Stats::Percentile(double p) const {
       std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
   if (rank == 0) rank = 1;
   return sorted[rank - 1];
-}
-
-std::string Stats::Summary(const std::string& unit) const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%.3f ± %.3f%s%s", Mean(), Stddev(),
-                unit.empty() ? "" : " ", unit.c_str());
-  return buf;
 }
 
 }  // namespace sdw

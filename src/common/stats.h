@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace sdw {
@@ -47,16 +46,7 @@ class Stats {
   /// Percentile in [0,100] by nearest-rank on a sorted copy.
   double Percentile(double p) const;
 
-  /// Relative stddev (stddev/mean), 0 when mean is 0.
-  double RelStddev() const {
-    double m = Mean();
-    return m == 0.0 ? 0.0 : Stddev() / m;
-  }
-
   const std::vector<double>& samples() const { return samples_; }
-
-  /// "mean ± stddev" with the given unit suffix.
-  std::string Summary(const std::string& unit = "") const;
 
  private:
   std::vector<double> samples_;

@@ -113,7 +113,6 @@ void CjoinStage::FlushStaged() {
     batch.swap(staged_);
   }
   if (batch.empty()) return;
-  epochs_.Add(1);
   pipeline_->SubmitMany(std::move(batch));
 }
 

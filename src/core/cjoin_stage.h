@@ -51,11 +51,6 @@ class CjoinStage {
   uint64_t shares() const { return shares_.load(std::memory_order_relaxed); }
   void ResetShares() { shares_.store(0, std::memory_order_relaxed); }
 
-  /// Admission epochs flushed into the pipeline: non-empty staged batches,
-  /// each costing one pipeline pause (and, with batched admission, one scan
-  /// per referenced dimension) regardless of how many queries it carried.
-  uint64_t admission_epochs() const { return epochs_.value(); }
-
   cjoin::CjoinPipeline* pipeline() const { return pipeline_; }
 
  private:
@@ -71,7 +66,6 @@ class CjoinStage {
 
   qpipe::SpRegistry registry_;
   std::atomic<uint64_t> shares_{0};
-  sdw::Counter epochs_;
 
   // Only ever wraps the vector push/swap; never another acquisition.
   Mutex staged_mu_{lock_rank::Rank::kCjoinStage};

@@ -79,7 +79,7 @@ Engine::Engine(const storage::Catalog* catalog, storage::BufferPool* pool,
       wopts.stall_nanos = options_.resilience.scan_stall_nanos;
       cjoin::CjoinPipeline* p = pipeline_.get();
       watchdog_ = std::make_unique<StallWatchdog>(
-          &scheduler_->wheel(), wopts, [p] { return p->progress_epoch(); },
+          &scheduler_->timers(), wopts, [p] { return p->progress_epoch(); },
           [p] { return p->busy(); },
           [p](const Status& why) { p->CancelActiveQueries(why); });
     }

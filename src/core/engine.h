@@ -67,7 +67,7 @@ struct EngineOptions {
   /// either layout, and results are bit-identical.
   bool columnar_pages = false;
   /// Scheduling policy: one core::Scheduler per engine threads priority,
-  /// aging and deadline (timer-wheel) enforcement through every queue —
+  /// aging and deadline (timer-queue) enforcement through every queue —
   /// stage dispatch, result sinks and CJOIN admission.
   /// sched.priority_enabled = false reproduces the seed's FIFO everywhere.
   SchedulerOptions sched;
@@ -120,7 +120,7 @@ class Engine : public ExecutorClient {
   void WaitAll() override;
 
   const EngineOptions& options() const { return options_; }
-  /// The engine's scheduling subsystem (priority policy + timer wheel).
+  /// The engine's scheduling subsystem (priority policy + timer queue).
   Scheduler* scheduler() { return scheduler_.get(); }
   qpipe::QpipeEngine* qpipe() { return qpipe_.get(); }
   /// Null unless a CJOIN configuration.
@@ -151,7 +151,7 @@ class Engine : public ExecutorClient {
   // pipeline (joins its threads, which may still be running completion
   // hooks), the CJOIN stage — whose SP registry those hooks call into —
   // next, then the memory budget the pipeline releases into, and the
-  // scheduler (whose timer wheel fires into all of the above) strictly
+  // scheduler (whose timer queue fires into all of the above) strictly
   // last-constructed/first-outliving, i.e. declared first.
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<MemoryBudget> memory_budget_;

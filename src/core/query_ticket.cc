@@ -58,7 +58,7 @@ bool QueryLifecycle::Finish(Status final_status) {
     done_.store(true, std::memory_order_release);
   }
   cv_.NotifyAll();
-  if (finish_hook) finish_hook();  // outside mu_: takes the wheel's lock
+  if (finish_hook) finish_hook();  // outside mu_: takes the timer lock
   return true;
 }
 

@@ -162,8 +162,8 @@ class QueryLifecycle {
 
   /// Installs a hook run once when the query reaches a terminal state (or
   /// immediately if it already has). The Scheduler uses it to cancel the
-  /// query's deadline timer, so early completions do not leave stale wheel
-  /// entries ticking until their deadline passes.
+  /// query's deadline timer, so early completions do not leave stale
+  /// timers queued until their deadline passes.
   void SetFinishHook(std::function<void()> hook);
 
   /// True when the client no longer wants output: cancellation requested or
@@ -200,7 +200,7 @@ class QueryLifecycle {
 
   // Mid-hierarchy: Finish is reached from under the CJOIN pipeline and SP
   // registry locks (FailQuery → Finish), and the hooks it fires afterwards
-  // take channel/wheel locks — but always OUTSIDE mu_.
+  // take channel/timer locks — but always OUTSIDE mu_.
   mutable Mutex mu_{lock_rank::Rank::kQueryLifecycle};
   mutable CondVar cv_;
   std::atomic<bool> done_{false};

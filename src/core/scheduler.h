@@ -17,9 +17,9 @@
 //   * CJOIN admission — the pending queue is ordered by (priority, arrival)
 //     at every admission pause, so scarce query slots go to the highest
 //     bidder instead of the longest waiter;
-//   * deadlines — every deadline ticket is registered with the hierarchical
-//     timer wheel (common/timer_wheel.h), which fires
-//     RequestCancel(kDeadlineExceeded) within one tick of expiry: a drain
+//   * deadlines — every deadline ticket is registered with the timer queue
+//     (common/timer_queue.h), whose thread sleeps until the earliest
+//     deadline and fires RequestCancel(kDeadlineExceeded) at expiry: a drain
 //     blocked in Next() is unblocked through the cancel hook instead of
 //     waiting for a page that may never come.
 //
@@ -34,7 +34,7 @@
 
 #include "common/macros.h"
 #include "common/run_queue.h"
-#include "common/timer_wheel.h"
+#include "common/timer_queue.h"
 #include "core/query_ticket.h"
 
 namespace sdw::core {
@@ -45,11 +45,6 @@ struct SchedulerOptions {
   /// stays on — FIFO vs. priority is a policy choice, a hung deadline is a
   /// bug).
   bool priority_enabled = true;
-  /// Run-queue aging: nanoseconds queued per effective priority level
-  /// gained (0 disables). See common/run_queue.h.
-  int64_t aging_nanos = 20'000'000;
-  /// Timer-wheel resolution for deadline enforcement.
-  int64_t tick_nanos = 1'000'000;
 };
 
 /// Per-engine scheduling service (see file comment). Thread-safe.
@@ -61,15 +56,16 @@ class Scheduler {
 
   const SchedulerOptions& options() const { return options_; }
 
-  /// Ordering policy handed to every run queue this scheduler governs.
+  /// Ordering policy handed to every run queue this scheduler governs
+  /// (aging keeps RunQueueOptions' default).
   RunQueueOptions run_queue_options() const {
-    return RunQueueOptions{options_.priority_enabled, options_.aging_nanos};
+    return RunQueueOptions{.priority_enabled = options_.priority_enabled};
   }
 
   /// The deadline service.
-  TimerWheel& wheel() { return *wheel_; }
+  TimerQueue& timers() { return timers_; }
 
-  /// Arms the wheel to fire RequestCancel(kDeadlineExceeded) at the query's
+  /// Arms a timer to fire RequestCancel(kDeadlineExceeded) at the query's
   /// deadline. A no-op for queries without one. The watch holds only a
   /// weak_ptr; a query that finishes first makes the expiry a no-op
   /// (RequestCancel after Finish does nothing).
@@ -82,7 +78,7 @@ class Scheduler {
 
  private:
   const SchedulerOptions options_;
-  std::unique_ptr<TimerWheel> wheel_;
+  TimerQueue timers_;
 };
 
 }  // namespace sdw::core

@@ -5,7 +5,7 @@ namespace sdw::core {
 SharedPagesList::~SharedPagesList() {
   // Contract: readers never outlive the list (exchanges pair every reader
   // with shared ownership of the list).
-  SDW_CHECK(active_readers_ == 0 || closed_ || true);
+  SDW_CHECK(active_readers_ == 0);
 }
 
 std::unique_ptr<SharedPagesList::Reader>
@@ -66,11 +66,6 @@ size_t SharedPagesList::buffered_bytes() const {
 size_t SharedPagesList::num_active_readers() const {
   MutexLock lock(mu_);
   return active_readers_;
-}
-
-uint64_t SharedPagesList::pages_emitted() const {
-  MutexLock lock(mu_);
-  return next_seq_;
 }
 
 void SharedPagesList::ReleaseLocked(std::list<Node>::iterator it) {

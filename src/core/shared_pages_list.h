@@ -91,8 +91,6 @@ class SharedPagesList : public PageSink {
   size_t buffered_bytes() const;
   /// Number of attached, uncancelled consumers.
   size_t num_active_readers() const;
-  /// Total pages ever emitted.
-  uint64_t pages_emitted() const;
 
  private:
   friend class Reader;

@@ -8,7 +8,7 @@
 namespace sdw::core {
 
 struct StallWatchdog::State {
-  TimerWheel* wheel;
+  TimerQueue* timers;
   Options options;
   std::function<uint64_t()> progress;
   std::function<bool()> busy;
@@ -19,7 +19,7 @@ struct StallWatchdog::State {
   // once it holds mu no callback can still be touching the probed objects —
   // that is the "nothing runs after ~StallWatchdog" guarantee.
   // Bottom of the lock hierarchy: ticks call progress()/busy()/on_stall()
-  // and re-Schedule while holding mu, reaching pipeline and wheel locks.
+  // and re-Schedule while holding mu, reaching pipeline and timer locks.
   Mutex mu{lock_rank::Rank::kWatchdog};
   bool stop GUARDED_BY(mu) = false;
   uint64_t timer_id GUARDED_BY(mu) = 0;
@@ -28,13 +28,13 @@ struct StallWatchdog::State {
   uint64_t stalls_fired GUARDED_BY(mu) = 0;
 };
 
-StallWatchdog::StallWatchdog(TimerWheel* wheel, Options options,
+StallWatchdog::StallWatchdog(TimerQueue* timers, Options options,
                              std::function<uint64_t()> progress,
                              std::function<bool()> busy,
                              std::function<void(const Status&)> on_stall)
     : state_(std::make_shared<State>()) {
   SDW_CHECK(options.check_interval_nanos > 0 && options.stall_nanos > 0);
-  state_->wheel = wheel;
+  state_->timers = timers;
   state_->options = options;
   state_->progress = std::move(progress);
   state_->busy = std::move(busy);
@@ -43,8 +43,8 @@ StallWatchdog::StallWatchdog(TimerWheel* wheel, Options options,
   MutexLock lock(state_->mu);
   state_->last_progress = state_->progress();
   state_->timer_id =
-      wheel->Schedule(NowNanos() + options.check_interval_nanos,
-                      [weak] { Tick(weak); });
+      timers->Schedule(NowNanos() + options.check_interval_nanos,
+                       [weak] { Tick(weak); });
 }
 
 StallWatchdog::~StallWatchdog() {
@@ -54,7 +54,7 @@ StallWatchdog::~StallWatchdog() {
     state_->stop = true;
     id = state_->timer_id;
   }
-  state_->wheel->Cancel(id);
+  state_->timers->Cancel(id);
   // A tick already collected as due may still run: it locks state->mu, sees
   // stop, and returns without touching the probes. The weak_ptr it captured
   // keeps State alive for exactly that check.
@@ -85,8 +85,8 @@ void StallWatchdog::Tick(const std::weak_ptr<State>& weak) {
         "stall watchdog: pipeline busy with no progress for " +
         std::to_string(flat_ms) + " ms"));
   }
-  s->timer_id = s->wheel->Schedule(now + s->options.check_interval_nanos,
-                                   [weak] { Tick(weak); });
+  s->timer_id = s->timers->Schedule(now + s->options.check_interval_nanos,
+                                    [weak] { Tick(weak); });
 }
 
 }  // namespace sdw::core

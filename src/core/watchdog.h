@@ -3,7 +3,7 @@
 //
 // A fault that only slows the storage layer down (a device latency spike, a
 // retry storm) produces no error anywhere — queries just stop finishing. The
-// watchdog probes a monotone progress counter on the scheduler's timer wheel
+// watchdog probes a monotone progress counter on the scheduler's timer queue
 // every check interval; when the pipeline reports work (busy) but the
 // counter stays flat for the stall window, it fires the stall hook — in
 // practice CjoinPipeline::CancelActiveQueries(kDeadlineExceeded), which
@@ -19,12 +19,12 @@
 
 #include "common/macros.h"
 #include "common/status.h"
-#include "common/timer_wheel.h"
+#include "common/timer_queue.h"
 
 namespace sdw::core {
 
-/// Periodic liveness probe on a TimerWheel. Thread-safe; the probes and the
-/// stall hook run on the wheel's timer thread.
+/// Periodic liveness probe on a TimerQueue. Thread-safe; the probes and the
+/// stall hook run on the queue's timer thread.
 class StallWatchdog {
  public:
   struct Options {
@@ -40,7 +40,7 @@ class StallWatchdog {
   /// status to fail the stalled work with. All three must stay valid until
   /// the watchdog is destroyed; the destructor guarantees no probe or hook
   /// runs after it returns, so destroy the watchdog BEFORE what they touch.
-  StallWatchdog(TimerWheel* wheel, Options options,
+  StallWatchdog(TimerQueue* timers, Options options,
                 std::function<uint64_t()> progress, std::function<bool()> busy,
                 std::function<void(const Status&)> on_stall);
   ~StallWatchdog();

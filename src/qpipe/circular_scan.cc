@@ -184,7 +184,6 @@ void CircularScanService::Loop() {
     const storage::Page* raw = fetched.value();
     if (raw == nullptr) continue;
     storage::PagePtr page = table_->SharePage(position);
-    pages_produced_.fetch_add(1, std::memory_order_relaxed);
 
     if (comm_ == core::CommModel::kPull) {
       // One Put serves every consumer: no per-consumer work at all.

@@ -43,8 +43,6 @@ class CircularScanService {
   /// once (one full cycle from the point of entry) and then ends.
   std::unique_ptr<core::PageSource> Attach();
 
-  /// Pages delivered to consumers in total (diagnostics).
-  uint64_t pages_produced() const { return pages_produced_; }
   /// Pages skipped after an unrecoverable read failure.
   uint64_t pages_skipped() const {
     return pages_skipped_.load(std::memory_order_relaxed);
@@ -88,7 +86,6 @@ class CircularScanService {
   std::shared_ptr<core::SharedPagesList> spl_;  // pull transport (unbounded
                                                 // readers; bounded bytes)
   storage::CircularPageCursor cursor_;
-  std::atomic<uint64_t> pages_produced_{0};
   std::atomic<uint64_t> pages_skipped_{0};
   // Fault epoch: incremented per terminal page failure; last_fault_ (under
   // mu_) holds the most recent failure. Consumers compare their attach-time

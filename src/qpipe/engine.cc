@@ -250,7 +250,7 @@ std::vector<QueryHandle> QpipeEngine::SubmitRequests(
       handles.push_back(std::move(ctx));
       continue;
     }
-    // Deadline tickets are the timer wheel's: expiry fires RequestCancel
+    // Deadline tickets are the timer queue's: expiry fires RequestCancel
     // promptly even while the drain is blocked in Next() with no page or
     // EOS on the way.
     sched_->WatchDeadline(ctx->life);

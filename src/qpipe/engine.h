@@ -47,7 +47,7 @@ struct QpipeOptions {
   /// Byte bound of every FIFO / SPL (paper uses 256 KB).
   size_t channel_bytes = 256 * 1024;
   /// Scheduler governing the stage run queues (priority/aging policy) and
-  /// deadline enforcement (timer wheel). When null the engine owns a
+  /// deadline enforcement (timer queue). When null the engine owns a
   /// default-configured one.
   core::Scheduler* scheduler = nullptr;
   /// Caps every stage pool's worker count (0 = unlimited, the seed
@@ -194,7 +194,7 @@ class QpipeEngine {
   const QpipeOptions options_;
 
   // Owned fallback when QpipeOptions::scheduler is null; sched_ is the one
-  // actually used. Declared before the stages so the timer wheel outlives
+  // actually used. Declared before the stages so the timer queue outlives
   // every queue it can fire into.
   std::unique_ptr<core::Scheduler> owned_scheduler_;
   core::Scheduler* sched_;

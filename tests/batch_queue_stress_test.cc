@@ -1,4 +1,5 @@
-// Stress and semantics tests for the ring-buffer BatchQueue:
+// Stress and semantics tests for the BatchQueue ring:
+//  * capacity is the configured value (at least 1), not rounded up,
 //  * multi-producer / multi-consumer delivery with no loss or duplication,
 //  * FIFO order per producer stream under a single consumer,
 //  * Put-after-Close reports the drop (returns false),
@@ -37,6 +38,25 @@ static void TestSingleThreadFifo() {
     BatchPtr b = q.Take();
     SDW_CHECK(b != nullptr && b->page_index == i);
   }
+}
+
+static void TestCapacityAsConfigured() {
+  SDW_CHECK(BatchQueue(0).capacity() == 1);
+  SDW_CHECK(BatchQueue(3).capacity() == 3);
+  // A capacity-1 queue holds exactly one batch: the second Put blocks until
+  // a Take frees the slot.
+  BatchQueue q(1);
+  SDW_CHECK(q.Put(MakeBatch(0)));
+  std::atomic<bool> second_done{false};
+  std::thread producer([&] {
+    SDW_CHECK(q.Put(MakeBatch(1)));
+    second_done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  SDW_CHECK(!second_done.load());
+  SDW_CHECK(q.Take()->page_index == 0);
+  producer.join();
+  SDW_CHECK(q.Take()->page_index == 1);
 }
 
 static void TestPutAfterCloseReportsDrop() {
@@ -223,6 +243,7 @@ static void TestBatchPoolRecycling() {
 
 int main() {
   TestSingleThreadFifo();
+  TestCapacityAsConfigured();
   TestPutAfterCloseReportsDrop();
   TestBlockedPutWakesOnClose();
   TestMpmcStress();

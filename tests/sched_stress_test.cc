@@ -12,7 +12,7 @@
 //     Volcano oracle.
 //  C. Blocked-drain deadline — over a slow simulated device, an
 //     empty-result query's drain blocks in Next() with no page or EOS
-//     coming; the timer wheel must fire the deadline promptly (the ticket
+//     coming; the timer queue must fire the deadline promptly (the ticket
 //     completes kDeadlineExceeded in ~deadline time, far below the scan
 //     cycle the seed would have waited for).
 //  D. Mixed-priority closed loop — structural check of the harness driver's
@@ -211,7 +211,7 @@ void TestSharedPacketPriorityInheritance(Db* db, bool priority_enabled) {
 
 // ------------------------------------------- C: blocked-drain deadline gap
 
-void TestBlockedDrainDeadlineFiresViaWheel() {
+void TestBlockedDrainDeadlineFiresViaTimer() {
   // Slow device: ~3 MB/s sequential, so one circular-scan cycle over the
   // SF-0.01 fact table takes seconds of simulated wall time.
   storage::DeviceOptions dev;
@@ -243,12 +243,12 @@ void TestBlockedDrainDeadlineFiresViaWheel() {
 
   SDW_CHECK_MSG(s.code() == StatusCode::kDeadlineExceeded,
                 "expected DEADLINE_EXCEEDED, got %s", s.ToString().c_str());
-  // The wheel fires within one tick (1 ms); allow generous scheduling slack
-  // but stay far below the multi-second scan cycle the seed would need.
+  // The timer fires at the deadline; allow generous scheduling slack but
+  // stay far below the multi-second scan cycle the seed would need.
   SDW_CHECK_MSG(waited >= 0.25, "completed before the deadline (%.3f s)",
                 waited);
   SDW_CHECK_MSG(waited < 1.2,
-                "deadline took %.3f s — the wheel did not unblock the drain",
+                "deadline took %.3f s — the timer did not unblock the drain",
                 waited);
   std::printf("  blocked drain unblocked %.1f ms after its 250 ms deadline\n",
               (waited - 0.25) * 1e3);
@@ -307,8 +307,8 @@ int main() {
   TestSharedPacketPriorityInheritance(db.get(), /*priority_enabled=*/true);
   std::printf("B: shared-packet inheritance flipped off (seed FIFO)\n");
   TestSharedPacketPriorityInheritance(db.get(), /*priority_enabled=*/false);
-  std::printf("C: blocked-drain deadline fires via the timer wheel\n");
-  TestBlockedDrainDeadlineFiresViaWheel();
+  std::printf("C: blocked-drain deadline fires via the timer queue\n");
+  TestBlockedDrainDeadlineFiresViaTimer();
   std::printf("D: mixed-priority closed loop\n");
   TestMixedPriorityClosedLoop(db.get());
   std::printf("OK\n");

@@ -5,9 +5,11 @@
 //  * ThreadPool on the priority run queue — capped pools pop by priority,
 //    and boosting a queued task's dynamic priority reorders it (the
 //    mechanism behind shared-packet priority inheritance);
-//  * TimerWheel — expiry-latency bound, never-early firing, cancellation,
-//    hierarchical cascading across level horizons, and a concurrent
-//    schedule/cancel/fire stress run (ASAN+TSAN clean).
+//  * TimerQueue — expiry-latency bound, never-early firing, cancellation,
+//    deadline order across far horizons, prompt firing after idle and after
+//    an earlier deadline arrives, sleeping to the next due timer, re-entrant
+//    callbacks, and a concurrent schedule/cancel/fire stress run (ASAN+TSAN
+//    clean).
 
 #include <atomic>
 #include <chrono>
@@ -24,7 +26,7 @@
 #include "common/run_queue.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "common/timer_wheel.h"
+#include "common/timer_queue.h"
 #include "common/timing.h"
 #include "core/scheduler.h"
 
@@ -292,12 +294,10 @@ void TestThreadPoolDynamicBoostReorders() {
   SDW_CHECK(order == expected);
 }
 
-// ----------------------------------------------------------- timer wheel
+// ----------------------------------------------------------- timer queue
 
-void TestWheelExpiryLatencyBound() {
-  TimerWheel::Options opts;
-  opts.tick_nanos = 1'000'000;  // 1 ms
-  TimerWheel wheel(opts);
+void TestTimerExpiryLatencyBound() {
+  TimerQueue timers;
   constexpr int kTimers = 64;
   std::vector<std::atomic<int64_t>> fired_at(kTimers);
   for (auto& f : fired_at) f.store(0);
@@ -306,11 +306,11 @@ void TestWheelExpiryLatencyBound() {
   for (int i = 0; i < kTimers; ++i) {
     // Deadlines spread over 5..69 ms out.
     deadlines[i] = base + (5 + i) * 1'000'000;
-    wheel.Schedule(deadlines[i],
-                   [&fired_at, i] { fired_at[i].store(NowNanos()); });
+    timers.Schedule(deadlines[i],
+                    [&fired_at, i] { fired_at[i].store(NowNanos()); });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  SDW_CHECK(wheel.pending() == 0);
+  SDW_CHECK(timers.pending() == 0);
   Stats lat_ms_stats;
   for (int i = 0; i < kTimers; ++i) {
     const int64_t at = fired_at[i].load();
@@ -320,70 +320,76 @@ void TestWheelExpiryLatencyBound() {
                   static_cast<double>(deadlines[i] - at) * 1e-6);
     lat_ms_stats.Add(static_cast<double>(at - deadlines[i]) * 1e-6);
   }
-  // The wheel guarantees firing within ~one tick of the deadline; the
-  // median bound keeps the assertion robust against CI scheduling noise,
-  // and the max bound catches a wheel that degraded to coarse polling.
-  std::printf("  wheel expiry latency: median %.3f ms, max %.3f ms\n",
+  // The thread wakes at each deadline; the median bound keeps the assertion
+  // robust against CI scheduling noise, and the max bound catches a queue
+  // that degraded to coarse polling.
+  std::printf("  timer expiry latency: median %.3f ms, max %.3f ms\n",
               lat_ms_stats.Percentile(50), lat_ms_stats.Max());
   SDW_CHECK_MSG(lat_ms_stats.Percentile(50) <= 5.0,
-                "median expiry latency %.3f ms exceeds 5 ms (tick = 1 ms)",
+                "median expiry latency %.3f ms exceeds 5 ms",
                 lat_ms_stats.Percentile(50));
   SDW_CHECK_MSG(lat_ms_stats.Max() <= 60.0,
-                "max expiry latency %.3f ms looks like polling, not a wheel",
+                "max expiry latency %.3f ms looks like polling",
                 lat_ms_stats.Max());
 }
 
-void TestWheelCancel() {
-  TimerWheel wheel;
+void TestTimerCancel() {
+  TimerQueue timers;
   std::atomic<bool> fired{false};
   const uint64_t id =
-      wheel.Schedule(NowNanos() + 20'000'000, [&] { fired.store(true); });
-  SDW_CHECK(wheel.Cancel(id));
-  SDW_CHECK(!wheel.Cancel(id));  // second cancel: already gone
+      timers.Schedule(NowNanos() + 20'000'000, [&] { fired.store(true); });
+  SDW_CHECK(timers.Cancel(id));
+  SDW_CHECK(!timers.Cancel(id));  // second cancel: already gone
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   SDW_CHECK(!fired.load());
-  SDW_CHECK(wheel.pending() == 0);
+  SDW_CHECK(timers.pending() == 0);
+
+  // A timer collected as due can no longer be cancelled.
+  std::atomic<bool> ran{false};
+  const uint64_t past = timers.Schedule(NowNanos(), [&] { ran.store(true); });
+  while (!ran.load()) std::this_thread::yield();
+  SDW_CHECK(!timers.Cancel(past));
+  SDW_CHECK(timers.fired() == 1);
 }
 
-void TestWheelHierarchyCascades() {
-  // Coarse horizons land on higher wheel levels (64 ticks per level step);
-  // they must cascade down and fire in deadline order, never early.
-  TimerWheel::Options opts;
-  opts.tick_nanos = 200'000;  // 0.2 ms tick so level-2 horizons stay testable
-  TimerWheel wheel(opts);
+void TestTimerOrderAcrossFarHorizons() {
+  // Deadlines 0.6 ms, 20 ms and 820 ms out must fire in deadline order,
+  // never early.
+  TimerQueue timers;
   std::mutex mu;
   std::vector<int> order;
   const int64_t base = NowNanos();
   struct Probe {
     int tag;
-    int64_t ticks_out;
+    int64_t nanos_out;
   };
-  // 3 ticks (level 0), 100 ticks (level 1), 4100 ticks (level 2: > 64^2).
-  const std::vector<Probe> probes = {{0, 3}, {1, 100}, {2, 4100}};
-  for (const auto& p : probes) {
-    wheel.Schedule(base + p.ticks_out * opts.tick_nanos, [&mu, &order, p] {
+  const std::vector<Probe> probes = {
+      {0, 600'000}, {1, 20'000'000}, {2, 820'000'000}};
+  // Scheduled far-first so each later Schedule moves the earliest deadline.
+  for (auto it = probes.rbegin(); it != probes.rend(); ++it) {
+    const Probe p = *it;
+    const int64_t deadline = base + p.nanos_out;
+    timers.Schedule(deadline, [&mu, &order, p, deadline] {
+      SDW_CHECK_MSG(NowNanos() >= deadline, "timer %d fired early", p.tag);
       std::unique_lock<std::mutex> lock(mu);
       order.push_back(p.tag);
     });
   }
-  // 4100 ticks * 0.2 ms = 820 ms; wait it out with margin.
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   std::unique_lock<std::mutex> lock(mu);
   const std::vector<int> expected = {0, 1, 2};
-  SDW_CHECK_MSG(order == expected, "cascade firing order wrong (%zu fired)",
+  SDW_CHECK_MSG(order == expected, "far-horizon firing order wrong (%zu fired)",
                 order.size());
 }
 
-void TestWheelCatchUpAfterIdle() {
-  // After sitting idle (no timers, cursor parked) far past the catch-up
-  // threshold, a freshly scheduled short deadline must still fire promptly
-  // — the wheel rebuilds from the live-timer map instead of ticking the
-  // whole idle gap closed under its lock.
-  TimerWheel wheel;  // 1 ms tick; catch-up kicks in past 128 ticks
+void TestTimerPromptAfterIdle() {
+  // After sitting idle with nothing scheduled, a freshly scheduled short
+  // deadline must still fire promptly.
+  TimerQueue timers;
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   std::atomic<int64_t> fired_at{0};
   const int64_t deadline = NowNanos() + 10'000'000;  // 10 ms
-  wheel.Schedule(deadline, [&] { fired_at.store(NowNanos()); });
+  timers.Schedule(deadline, [&] { fired_at.store(NowNanos()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   SDW_CHECK_MSG(fired_at.load() != 0, "timer after idle gap never fired");
   SDW_CHECK(fired_at.load() >= deadline);
@@ -392,30 +398,74 @@ void TestWheelCatchUpAfterIdle() {
                 static_cast<double>(fired_at.load() - deadline) * 1e-6);
 }
 
-void TestWheelIdleSleepsToNextDue() {
-  // With one timer 300 ms out on a 1 ms tick, the loop must sleep to the
-  // due tick instead of waking every tick: ~300 wakeups would mean the
-  // next-due computation regressed to per-tick polling.
-  TimerWheel::Options opts;
-  opts.tick_nanos = 1'000'000;
-  TimerWheel wheel(opts);
+void TestTimerEarlierDeadlineWakesSleeper() {
+  // The thread sleeps until a 1 s deadline; a 10 ms timer scheduled after
+  // it must cut that sleep short and fire on time, not at the 1 s wakeup.
+  TimerQueue timers;
+  std::atomic<int64_t> far_fired_at{0};
+  const uint64_t far = timers.Schedule(NowNanos() + 1'000'000'000,
+                                       [&] { far_fired_at.store(NowNanos()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it sleep
+  std::atomic<int64_t> fired_at{0};
+  const int64_t deadline = NowNanos() + 10'000'000;  // 10 ms
+  timers.Schedule(deadline, [&] { fired_at.store(NowNanos()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  SDW_CHECK_MSG(fired_at.load() != 0,
+                "10 ms timer did not fire while the thread slept on 1 s");
+  SDW_CHECK(fired_at.load() >= deadline);  // never early
+  SDW_CHECK_MSG((fired_at.load() - deadline) < 50'000'000,
+                "10 ms timer fired %.1f ms late behind a 1 s timer",
+                static_cast<double>(fired_at.load() - deadline) * 1e-6);
+  SDW_CHECK(far_fired_at.load() == 0);
+  SDW_CHECK(timers.Cancel(far));
+}
+
+void TestTimerIdleSleepsToNextDue() {
+  // With one timer 300 ms out, the loop must sleep to its deadline instead
+  // of waking every millisecond: ~300 wakeups would mean it regressed to
+  // polling.
+  TimerQueue timers;
   std::atomic<int64_t> fired_at{0};
   const int64_t deadline = NowNanos() + 300'000'000;
-  wheel.Schedule(deadline, [&] { fired_at.store(NowNanos()); });
+  timers.Schedule(deadline, [&] { fired_at.store(NowNanos()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(350));
   SDW_CHECK_MSG(fired_at.load() != 0, "far-out timer never fired");
   SDW_CHECK(fired_at.load() >= deadline);  // never early
-  const uint64_t wakeups = wheel.wakeups();
-  std::printf("  wheel wakeups while waiting 300 ms for one timer: %llu\n",
+  const uint64_t wakeups = timers.wakeups();
+  std::printf("  timer wakeups while waiting 300 ms for one timer: %llu\n",
               static_cast<unsigned long long>(wakeups));
   SDW_CHECK_MSG(wakeups <= 50,
-                "%llu wakeups for a single 300 ms timer — the idle wheel is "
-                "ticking instead of sleeping to the next due tick",
+                "%llu wakeups for a single 300 ms timer — the idle queue is "
+                "polling instead of sleeping to the next deadline",
                 static_cast<unsigned long long>(wakeups));
 }
 
-void TestWheelConcurrentStress() {
-  TimerWheel wheel;
+void TestTimerReentrantCallbacks() {
+  // A callback may Schedule and Cancel on its own queue (the stall watchdog
+  // re-arms itself from its probe): a chain of three re-arms fires in turn,
+  // and a timer cancelled from inside a callback never fires.
+  TimerQueue timers;
+  std::atomic<int> chain{0};
+  std::atomic<bool> victim_fired{false};
+  const uint64_t victim = timers.Schedule(NowNanos() + 10'000'000'000,
+                                          [&] { victim_fired.store(true); });
+  std::function<void()> step = [&] {
+    if (chain.fetch_add(1) == 0) SDW_CHECK(timers.Cancel(victim));
+    if (chain.load() < 3) timers.Schedule(NowNanos() + 1'000'000, step);
+  };
+  timers.Schedule(NowNanos() + 1'000'000, step);
+  const int64_t give_up = NowNanos() + 5'000'000'000;
+  while (chain.load() < 3 && NowNanos() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  SDW_CHECK_MSG(chain.load() == 3, "re-armed chain fired %d of 3 times",
+                chain.load());
+  SDW_CHECK(!victim_fired.load());
+  SDW_CHECK(timers.pending() == 0);
+}
+
+void TestTimerConcurrentStress() {
+  TimerQueue timers;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 500;
   std::atomic<uint64_t> fired{0};
@@ -427,12 +477,12 @@ void TestWheelConcurrentStress() {
       for (int i = 0; i < kPerThread; ++i) {
         const int64_t deadline =
             NowNanos() + ((t + i) % 40) * 1'000'000;  // 0..39 ms out
-        ids.push_back(wheel.Schedule(
+        ids.push_back(timers.Schedule(
             deadline, [&] { fired.fetch_add(1, std::memory_order_relaxed); }));
         if (i % 3 == 0) {
           // Cancel a recent timer; it may already have fired (races are the
-          // point — the wheel must stay consistent either way).
-          if (wheel.Cancel(ids[static_cast<size_t>(i) / 2])) {
+          // point — the queue must stay consistent either way).
+          if (timers.Cancel(ids[static_cast<size_t>(i) / 2])) {
             cancelled.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -441,13 +491,13 @@ void TestWheelConcurrentStress() {
   }
   for (auto& t : threads) t.join();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  SDW_CHECK(wheel.pending() == 0);
+  SDW_CHECK(timers.pending() == 0);
   SDW_CHECK_MSG(fired.load() + cancelled.load() == kThreads * kPerThread,
                 "fired %llu + cancelled %llu != scheduled %d",
                 static_cast<unsigned long long>(fired.load()),
                 static_cast<unsigned long long>(cancelled.load()),
                 kThreads * kPerThread);
-  SDW_CHECK(wheel.fired() == fired.load());
+  SDW_CHECK(timers.fired() == fired.load());
 }
 
 // ------------------------------------------------------------- scheduler
@@ -464,21 +514,21 @@ void TestSchedulerWatchDeadline() {
   SDW_CHECK(life->ShouldStop(&why));
   SDW_CHECK(why.code() == StatusCode::kDeadlineExceeded);
 
-  // A query that finishes first must NOT be disturbed — and its wheel
+  // A query that finishes first must NOT be disturbed — and its deadline
   // timer is disarmed at Finish instead of lingering until the deadline.
   auto done = std::make_shared<core::QueryLifecycle>(2, core::SubmitOptions{
       .priority = 0, .deadline_nanos = NowNanos() + 10'000'000'000});
   sched.WatchDeadline(done);
-  SDW_CHECK(sched.wheel().pending() == 1);
+  SDW_CHECK(sched.timers().pending() == 1);
   done->Finish(Status::Ok());
-  SDW_CHECK_MSG(sched.wheel().pending() == 0,
+  SDW_CHECK_MSG(sched.timers().pending() == 0,
                 "finish did not cancel the deadline timer");
   SDW_CHECK(done->status().ok());
 
   // No deadline → nothing armed.
   auto plain = std::make_shared<core::QueryLifecycle>(3, core::SubmitOptions{});
   sched.WatchDeadline(plain);
-  SDW_CHECK(sched.wheel().pending() == 0);
+  SDW_CHECK(sched.timers().pending() == 0);
 }
 
 }  // namespace
@@ -498,18 +548,22 @@ int main() {
   TestThreadPoolPriorityPop();
   std::printf("thread pool: dynamic boost reorders\n");
   TestThreadPoolDynamicBoostReorders();
-  std::printf("timer wheel: expiry latency bound\n");
-  TestWheelExpiryLatencyBound();
-  std::printf("timer wheel: cancel\n");
-  TestWheelCancel();
-  std::printf("timer wheel: hierarchy cascades\n");
-  TestWheelHierarchyCascades();
-  std::printf("timer wheel: catch-up after idle\n");
-  TestWheelCatchUpAfterIdle();
-  std::printf("timer wheel: idle sleeps to next due tick\n");
-  TestWheelIdleSleepsToNextDue();
-  std::printf("timer wheel: concurrent stress\n");
-  TestWheelConcurrentStress();
+  std::printf("timer queue: expiry latency bound\n");
+  TestTimerExpiryLatencyBound();
+  std::printf("timer queue: cancel\n");
+  TestTimerCancel();
+  std::printf("timer queue: order across far horizons\n");
+  TestTimerOrderAcrossFarHorizons();
+  std::printf("timer queue: prompt after idle\n");
+  TestTimerPromptAfterIdle();
+  std::printf("timer queue: earlier deadline wakes the sleeping thread\n");
+  TestTimerEarlierDeadlineWakesSleeper();
+  std::printf("timer queue: idle sleeps to next due timer\n");
+  TestTimerIdleSleepsToNextDue();
+  std::printf("timer queue: re-entrant callbacks\n");
+  TestTimerReentrantCallbacks();
+  std::printf("timer queue: concurrent stress\n");
+  TestTimerConcurrentStress();
   std::printf("scheduler: watch deadline\n");
   TestSchedulerWatchDeadline();
   std::printf("OK\n");
