@@ -14,6 +14,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <map>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 
@@ -23,7 +25,6 @@
 #include "cjoin/tuple_batch.h"
 #include "common/bitmap.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "common/timing.h"
 #include "core/engine.h"
 #include "core/shared_pages_list.h"
@@ -142,12 +143,9 @@ void BM_BitmapAndWithOr(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapAndWithOr)->Arg(1)->Arg(4)->Arg(16);  // 64..1024 queries
 
-// The filter's pass-2 kernel (AND two sources into dst, report any-set) and
-// the distributor's decode prefilter (OR-accumulate into the seen mask,
-// report any-set): scalar loop vs the runtime-dispatched SIMD entry point.
-// On hosts without AVX2 the simd:: variant resolves to the same scalar loop
-// — the `avx2` counter records which body actually ran. Arg = bitmap words
-// (4 = 256 query slots, the acceptance regime).
+// The filter's pass-2 word loop (AND two sources into dst, report any-set)
+// and the distributor's seen-mask OR-accumulate, in isolation at a run-time
+// word count. Arg = bitmap words (4 = 256 query slots).
 void BM_BitmapAndScalar(benchmark::State& state) {
   const size_t words = static_cast<size_t>(state.range(0));
   std::vector<uint64_t> dst(words, ~0ull), a(words, 0x5555555555555555ull),
@@ -161,21 +159,6 @@ void BM_BitmapAndScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BitmapAndScalar)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_BitmapAndAvx2(benchmark::State& state) {
-  const size_t words = static_cast<size_t>(state.range(0));
-  std::vector<uint64_t> dst(words, ~0ull), a(words, 0x5555555555555555ull),
-      b(words, 0x0F0F0F0F0F0F0F0Full);
-  uint64_t any = 0;
-  for (auto _ : state) {
-    any |= simd::AndWithOrAny(dst.data(), a.data(), b.data(), words);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  benchmark::DoNotOptimize(any);
-  state.SetItemsProcessed(state.iterations());
-  state.counters["avx2"] = simd::Avx2Active() ? 1 : 0;
-}
-BENCHMARK(BM_BitmapAndAvx2)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_BitmapOrAccumScalar(benchmark::State& state) {
   const size_t words = static_cast<size_t>(state.range(0));
@@ -192,20 +175,6 @@ void BM_BitmapOrAccumScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BitmapOrAccumScalar)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_BitmapOrAccumAvx2(benchmark::State& state) {
-  const size_t words = static_cast<size_t>(state.range(0));
-  std::vector<uint64_t> acc(words, 0), src(words, 0x5555555555555555ull);
-  uint64_t any = 0;
-  for (auto _ : state) {
-    any |= simd::OrAccumulateAny(acc.data(), src.data(), words);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  benchmark::DoNotOptimize(any);
-  state.SetItemsProcessed(state.iterations());
-  state.counters["avx2"] = simd::Avx2Active() ? 1 : 0;
-}
-BENCHMARK(BM_BitmapOrAccumAvx2)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_HashTableBuild(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -354,8 +323,8 @@ BENCHMARK(BM_ProbeFlat);
 // reference (GetIntAny decode, one unbatched Find, per-call heap match
 // vector); batched = Process: fixed-stride key gather + ProbeBatch +
 // branchless sentinel pass 2 + reusable scratch. Arg = query slots (64 ->
-// one bitmap word, the fast path; 256 -> four words). Manual timing:
-// re-priming the batch bitmaps between runs is excluded.
+// one bitmap word, 128 -> two (the width bench/e2e runs), 256 -> four).
+// Manual timing: re-priming the batch bitmaps between runs is excluded.
 class FilterFixture {
  public:
   explicit FilterFixture(size_t slots, bool columnar = false)
@@ -422,18 +391,16 @@ class FilterFixture {
     bits::FillOnes(template_bits_.data(), slots);
   }
 
-  static FilterFixture& Get(size_t slots) {
-    static FilterFixture f64(64);
-    static FilterFixture f256(256);
-    return slots == 64 ? f64 : f256;
-  }
-
-  /// Same dims, predicates and fact data, but the fact table rebuilt in the
-  /// PAX layout (page geometry differs — tuples/sec is the comparable unit).
-  static FilterFixture& GetColumnar(size_t slots) {
-    static FilterFixture f64(64, /*columnar=*/true);
-    static FilterFixture f256(256, /*columnar=*/true);
-    return slots == 64 ? f64 : f256;
+  /// One fixture per (slots, layout), built on first use. The columnar one
+  /// has the same dims, predicates and fact data, with the fact table
+  /// rebuilt in the PAX layout (page geometry differs — tuples/sec is the
+  /// comparable unit).
+  static FilterFixture& Get(size_t slots, bool columnar = false) {
+    static std::map<std::pair<size_t, bool>, std::unique_ptr<FilterFixture>>
+        fixtures;
+    auto& f = fixtures[{slots, columnar}];
+    if (f == nullptr) f = std::make_unique<FilterFixture>(slots, columnar);
+    return *f;
   }
 
   void Prime(cjoin::TupleBatch* b) const {
@@ -493,15 +460,19 @@ void BM_FilterProcessBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(f.tuples_per_pass_));
 }
-BENCHMARK(BM_FilterProcessBatched)->Arg(64)->Arg(256)->UseManualTime();
+BENCHMARK(BM_FilterProcessBatched)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->UseManualTime();
 
 // Columnar (PAX) variants of the two filter benches above: the same code
 // over the same rows, stored in minipages, so the batched key gather is a
 // contiguous read of the FK minipage. Compare tuples/sec with the row-major
 // pair to see what the layout alone buys.
 void BM_FilterProcessScalarColumnar(benchmark::State& state) {
-  FilterFixture& f =
-      FilterFixture::GetColumnar(static_cast<size_t>(state.range(0)));
+  FilterFixture& f = FilterFixture::Get(static_cast<size_t>(state.range(0)),
+                                        /*columnar=*/true);
   for (auto _ : state) {
     int64_t nanos = 0;
     for (auto& b : f.batches_) {
@@ -518,8 +489,8 @@ void BM_FilterProcessScalarColumnar(benchmark::State& state) {
 BENCHMARK(BM_FilterProcessScalarColumnar)->Arg(64)->Arg(256)->UseManualTime();
 
 void BM_FilterProcessBatchedColumnar(benchmark::State& state) {
-  FilterFixture& f =
-      FilterFixture::GetColumnar(static_cast<size_t>(state.range(0)));
+  FilterFixture& f = FilterFixture::Get(static_cast<size_t>(state.range(0)),
+                                        /*columnar=*/true);
   cjoin::FilterScratch scratch;
   for (auto _ : state) {
     int64_t nanos = 0;
@@ -533,16 +504,19 @@ void BM_FilterProcessBatchedColumnar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(f.tuples_per_pass_));
-  state.counters["avx2"] = simd::Avx2Active() ? 1 : 0;
 }
-BENCHMARK(BM_FilterProcessBatchedColumnar)->Arg(64)->Arg(256)->UseManualTime();
+BENCHMARK(BM_FilterProcessBatchedColumnar)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->UseManualTime();
 
 // ---------------------------------------------------------------------------
 // CJOIN distributor hot path: grouping a batch's live tuples by query slot.
 // Scalar = the seed's per-batch rebuilt unordered_map<slot, vector>; batched
 // = the recycled flat counting-sort scratch (DistributorScratch). The
 // acceptance bar for the rework was batched >= 1.3x scalar tuples/sec at 64
-// slots. Arg = query slots (64 -> one bitmap word, 256 -> four).
+// slots. Arg = query slots (64 -> one bitmap word, 128 -> two, 256 -> four).
 
 class DistributorFixture {
  public:
@@ -578,9 +552,10 @@ class DistributorFixture {
   }
 
   static DistributorFixture& Get(size_t slots) {
-    static DistributorFixture f64(64);
-    static DistributorFixture f256(256);
-    return slots == 64 ? f64 : f256;
+    static std::map<size_t, std::unique_ptr<DistributorFixture>> fixtures;
+    auto& f = fixtures[slots];
+    if (f == nullptr) f = std::make_unique<DistributorFixture>(slots);
+    return *f;
   }
 
   uint64_t tuples_per_pass_ = 0;
@@ -619,7 +594,7 @@ void BM_DistributePartBatched(benchmark::State& state) {
                           static_cast<int64_t>(f.tuples_per_pass_));
   state.counters["scratch_grows"] = static_cast<double>(scratch.grows);
 }
-BENCHMARK(BM_DistributePartBatched)->Arg(64)->Arg(256);
+BENCHMARK(BM_DistributePartBatched)->Arg(64)->Arg(128)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // Shared aggregation hot path: folding one distributed batch ONCE for a

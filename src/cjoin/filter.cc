@@ -5,77 +5,11 @@
 #include <cstring>
 
 #include "common/breakdown.h"
-#include "common/simd.h"
 #include "storage/scan.h"
-
-#if defined(SDW_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SDW_FILTER_AVX2_BODY 1
-#include <immintrin.h>
-#endif
 
 namespace sdw::cjoin {
 
 namespace {
-
-// Pass-2 loop state shared between the generic multi-word loop and the
-// batch-granularity AVX2 body below. `rows == nullptr` means the batch is
-// all-live (tuple index == probe index).
-struct Pass2Ctx {
-  const uint32_t* rows;
-  const uint64_t* values;
-  size_t live_count;
-  uint64_t sentinel;
-  const uint64_t* entry_bits;  // 4-word stride, sentinel row included
-  const uint32_t* entry_rows;
-  const uint64_t* pass;
-  uint64_t* bits;  // batch bitmap array, 4 words per tuple
-  uint32_t* dims;
-  uint32_t nf;
-  uint32_t position;
-  uint64_t* live_words;
-};
-
-#if defined(SDW_FILTER_AVX2_BODY)
-
-// The 256-slot (4-word) pass-2 kernel at batch granularity: one dispatch
-// decision per batch instead of one indirect simd:: call per tuple, the
-// pass mask pinned in a ymm register across the loop, and the empty-bitmap
-// check collapsed to a single vptest. Bitwise-identical to the generic loop
-// (AND/OR over the same words) — the differential suite holds it to that.
-__attribute__((target("avx2"))) void Pass2Words4Avx2(const Pass2Ctx& c) {
-  constexpr size_t kLookahead = 8;
-  const __m256i vpass =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c.pass));
-  auto prefetch_entry = [&](size_t j) {
-    if (j < c.live_count) {
-      const uint64_t idx = c.values[j] < c.sentinel ? c.values[j] : c.sentinel;
-      // A 32-byte entry row can straddle two cache lines (the vector data is
-      // only 16-byte aligned) — touch both ends.
-      SDW_PREFETCH(&c.entry_bits[idx * 4]);
-      SDW_PREFETCH(&c.entry_bits[idx * 4 + 3]);
-      SDW_PREFETCH(&c.entry_rows[idx]);
-    }
-  };
-  for (size_t j = 0; j < kLookahead && j < c.live_count; ++j) {
-    prefetch_entry(j);
-  }
-  for (size_t j = 0; j < c.live_count; ++j) {
-    prefetch_entry(j + kLookahead);
-    const uint32_t i = c.rows ? c.rows[j] : static_cast<uint32_t>(j);
-    const uint64_t idx = c.values[j] < c.sentinel ? c.values[j] : c.sentinel;
-    const __m256i match = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(c.entry_bits + idx * 4));
-    uint64_t* tb = c.bits + size_t{i} * 4;
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tb));
-    vb = _mm256_and_si256(vb, _mm256_or_si256(match, vpass));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(tb), vb);
-    c.dims[size_t{i} * c.nf + c.position] = c.entry_rows[idx];
-    if (_mm256_testz_si256(vb, vb)) bits::Clear(c.live_words, i);
-  }
-}
-
-#endif  // SDW_FILTER_AVX2_BODY
 
 // Pass-1 gather of the live tuples' FK keys (stored as T) from a fact
 // column whose fields lie `col.stride` bytes apart. An all-live batch fills
@@ -267,9 +201,9 @@ void Filter::BindFactColumn(const storage::Schema& fact_schema) {
 
 void Filter::Process(TupleBatch* batch, FilterScratch* scratch) const {
   SDW_DCHECK(fk_bound_);
+  SDW_DCHECK(batch->words_per_tuple == words_);
   const uint32_t n = batch->num_tuples;
   if (n == 0) return;
-  const size_t words = batch->words_per_tuple;
   const uint64_t* pass = pass_mask_.words();
 
   // All-live batches (every tuple upstream of the first selective filter)
@@ -330,47 +264,26 @@ void Filter::Process(TupleBatch* batch, FilterScratch* scratch) const {
     for (size_t j = 0; j < kLookahead && j < live_count; ++j) {
       prefetch_entry(j);
     }
-    if (words == 1) {
-      // Fast path for the common ≤64-query-slot case: the whole bitmap
-      // state is one word per tuple, so the AND/any kernels collapse to
-      // straight-line scalar ops over a contiguous word array.
-      const uint64_t pass0 = pass[0];
-      uint64_t* bw = batch->bits.data();
-      uint32_t* dims = batch->dim_rows.data();
-      const uint32_t nf = batch->num_filters;
+    uint64_t* tuple_bits = batch->bits.data();
+    uint32_t* dims = batch->dim_rows.data();
+    const uint32_t nf = batch->num_filters;
+    // One body per bitmap width: at W = 1, 2 and 4 words the AND is a
+    // constant-count loop the compiler unrolls; W = 0 reads the width at run
+    // time.
+    bits::WithWidth(words_, [&](auto width) {
+      constexpr size_t kW = decltype(width)::value;
+      const size_t words = kW != 0 ? kW : words_;
       for (size_t j = 0; j < live_count; ++j) {
         prefetch_entry(j + kLookahead);
         const uint32_t i = all_live ? static_cast<uint32_t>(j) : rows[j];
         const uint64_t idx = values[j] < sentinel ? values[j] : sentinel;
-        const uint64_t b = bw[i] & (entry_bits[idx] | pass0);
-        dims[i * nf + position_] = entry_rows[idx];
-        bw[i] = b;
-        if (b == 0) batch->kill_tuple(i);
-      }
-    } else {
-#if defined(SDW_FILTER_AVX2_BODY)
-      if (words == 4 && words_ == 4 && simd::Avx2Active()) {
-        // The 256-slot regime gets the batch-granularity AVX2 body: the
-        // per-tuple indirect dispatch is hoisted to one branch per batch.
-        Pass2Words4Avx2({all_live ? nullptr : rows, values, live_count,
-                         sentinel, entry_bits, entry_rows, pass,
-                         batch->bits.data(), batch->dim_rows.data(),
-                         batch->num_filters, static_cast<uint32_t>(position_),
-                         batch->live_words()});
-        return;
-      }
-#endif
-      for (size_t j = 0; j < live_count; ++j) {
-        prefetch_entry(j + kLookahead);
-        const uint32_t i = all_live ? static_cast<uint32_t>(j) : rows[j];
-        const uint64_t idx = values[j] < sentinel ? values[j] : sentinel;
-        uint64_t* tb = batch->tuple_bits(i);
         const uint64_t any =
-            simd::AndWithOrAny(tb, entry_bits + idx * words_, pass, words);
-        batch->tuple_dim_rows(i)[position_] = entry_rows[idx];
+            bits::AndWithOrAny(tuple_bits + size_t{i} * words,
+                               entry_bits + idx * words, pass, words);
+        dims[size_t{i} * nf + position_] = entry_rows[idx];
         if (any == 0) batch->kill_tuple(i);
       }
-    }
+    });
   }
 }
 

@@ -142,9 +142,10 @@ class Filter {
   /// Processes one batch in a filter-worker thread: gathers the FK keys of
   /// all live tuples through Page::column (one stride under either page
   /// layout; a contiguous read off a PAX minipage), probes them in one
-  /// batched call to the flat table, ANDs bitmaps (the AVX2 pass when
-  /// available), records joined dimension rows, and clears the batch's live
-  /// bit for tuples whose bitmap goes empty. Requires BindFactColumn.
+  /// batched call to the flat table, ANDs bitmaps (one loop templated on
+  /// the bitmap width), records joined dimension rows, and clears the
+  /// batch's live bit for tuples whose bitmap goes empty. Requires
+  /// BindFactColumn and a batch annotated at this filter's width.
   /// `scratch` is the calling worker's reusable scratch.
   void Process(TupleBatch* batch, FilterScratch* scratch) const;
 

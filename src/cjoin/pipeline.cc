@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/breakdown.h"
-#include "common/simd.h"
 #include "common/timing.h"
 
 namespace sdw::cjoin {
@@ -247,14 +246,13 @@ void CjoinPipeline::PreprocessorLoop() {
       ScopedComponentTimer t(Component::kMisc);
       batch->ResetFor(raw->tuple_count(), static_cast<uint32_t>(words_),
                       static_cast<uint32_t>(filters_.size()));
-      const uint64_t* mask = active_mask_.words();
-      if (words_ == 1) {
-        // ≤64-slot fast path: one word per tuple.
-        std::fill(batch->bits.begin(), batch->bits.end(), mask[0]);
-      } else {
-        for (uint32_t i = 0; i < batch->num_tuples; ++i) {
-          bits::Copy(batch->tuple_bits(i), mask, words_);
-        }
+      // One loop at any width: copy the mask into the first tuple, then
+      // double the filled prefix until every tuple carries it.
+      uint64_t* out = batch->bits.data();
+      const size_t total = batch->bits.size();
+      if (total != 0) bits::Copy(out, active_mask_.words(), words_);
+      for (size_t done = words_; done < total; done *= 2) {
+        bits::Copy(out + done, out, std::min(done, total - done));
       }
       if (options_.fact_preds_in_preprocessor) {
         // §3.2 variant: the preprocessor evaluates fact predicates per
@@ -1063,15 +1061,6 @@ inline void ForEachLiveSlotPair(const TupleBatch& batch, Fn&& fn) {
           lw * 64 + static_cast<size_t>(std::countr_zero(lword)));
       lword &= lword - 1;
       const uint64_t* tb = batch.tuple_bits(i);
-      if (words == 1) {
-        // ≤64-slot fast path: single-word slot extraction.
-        uint64_t word = tb[0];
-        while (word != 0) {
-          fn(i, static_cast<uint32_t>(std::countr_zero(word)));
-          word &= word - 1;
-        }
-        continue;
-      }
       for (size_t w = 0; w < words; ++w) {
         uint64_t word = tb[w];
         while (word != 0) {
@@ -1114,48 +1103,39 @@ size_t DistributePartBatched(const TupleBatch& batch,
 
   // One decode pass: store each (slot, tuple) pair straight into its slot's
   // arena bucket via the slot's fill cursor. Touched-slot discovery is an
-  // OR per bitmap word (`seen`), not a per-pair branch.
+  // OR per bitmap word (`seen`), not a per-pair branch. One body per bitmap
+  // width: at W = 1, 2 and 4 words the word loop has a constant count the
+  // compiler unrolls; W = 0 reads the width at run time.
   {
     uint32_t* arena = scratch->arena.data();
     uint32_t* counts = scratch->counts.data();
     uint64_t* seen = scratch->seen.data();
+    const uint64_t* tuple_bits = batch.bits.data();
     const uint64_t* live = batch.live_words();
     const size_t live_words = bits::WordsFor(batch.num_tuples);
-    for (size_t lw = 0; lw < live_words; ++lw) {
-      uint64_t lword = live[lw];
-      while (lword != 0) {
-        const uint32_t i = static_cast<uint32_t>(
-            lw * 64 + static_cast<size_t>(std::countr_zero(lword)));
-        lword &= lword - 1;
-        const uint64_t* tb = batch.tuple_bits(i);
-        if (words == 1) {
-          const uint64_t word0 = tb[0];
-          seen[0] |= word0;
-          uint64_t word = word0;
-          while (word != 0) {
-            const uint32_t slot =
-                static_cast<uint32_t>(std::countr_zero(word));
-            word &= word - 1;
-            arena[slot * stride + counts[slot]++] = i;
-          }
-          continue;
-        }
-        // Multi-word bitmaps: one SIMD pass fuses the touched-slot OR with
-        // the any-bit check, so tuples whose stale live bit survived an
-        // all-zero bitmap skip the decode loop entirely. Emission order is
-        // unchanged (the scalar decode below still walks words in order).
-        if (simd::OrAccumulateAny(seen, tb, words) == 0) continue;
-        for (size_t w = 0; w < words; ++w) {
-          uint64_t word = tb[w];
-          while (word != 0) {
-            const uint32_t slot = static_cast<uint32_t>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            arena[slot * stride + counts[slot]++] = i;
+    bits::WithWidth(words, [&](auto width) {
+      constexpr size_t kW = decltype(width)::value;
+      const size_t nw = kW != 0 ? kW : words;
+      for (size_t lw = 0; lw < live_words; ++lw) {
+        uint64_t lword = live[lw];
+        while (lword != 0) {
+          const uint32_t i = static_cast<uint32_t>(
+              lw * 64 + static_cast<size_t>(std::countr_zero(lword)));
+          lword &= lword - 1;
+          const uint64_t* tb = tuple_bits + size_t{i} * nw;
+          for (size_t w = 0; w < nw; ++w) {
+            uint64_t word = tb[w];
+            seen[w] |= word;
+            while (word != 0) {
+              const uint32_t slot = static_cast<uint32_t>(
+                  w * 64 + static_cast<size_t>(std::countr_zero(word)));
+              word &= word - 1;
+              arena[slot * stride + counts[slot]++] = i;
+            }
           }
         }
       }
-    }
+    });
   }
 
   // Touched slots fall out of the seen words, in ascending slot order.

@@ -65,8 +65,9 @@ struct CjoinOptions {
   bool fact_preds_in_preprocessor = false;
   /// Order the pending queue by (priority desc, arrival) at every admission
   /// pause, so when slots are scarce a high-priority query never loses its
-  /// slot to a long low-priority backlog. False = seed FIFO (the scheduler's
-  /// priority_enabled switch turns this off for the bench baseline).
+  /// slot to a long low-priority backlog. False = seed FIFO. Set only for a
+  /// raw pipeline: core::Engine overwrites it with
+  /// EngineOptions::sched.priority_enabled, the one source of truth.
   bool priority_admission = true;
   /// Overload gate: when set, each admission reserves kAdmissionCostBytes
   /// before costing a slot; a pending query that cannot reserve is shed

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -59,7 +60,7 @@ inline void AndWithOr(uint64_t* dst, const uint64_t* a, const uint64_t* b,
 
 /// Fused filter kernel: dst &= (a | b), returning the OR of the resulting
 /// words — zero iff the span went empty. Saves the separate Any() pass on
-/// the multi-word filter path (the result words are still in registers).
+/// the filter path (the result words are still in registers).
 inline uint64_t AndWithOrAny(uint64_t* dst, const uint64_t* a,
                              const uint64_t* b, size_t nwords) {
   uint64_t acc = 0;
@@ -106,6 +107,20 @@ inline void FillOnes(uint64_t* words, size_t nbits) {
 
 /// Index of the lowest set bit at or after `from`, or `nbits` if none.
 size_t FindNextSet(const uint64_t* words, size_t nbits, size_t from);
+
+/// Calls `fn(std::integral_constant<size_t, W>{})` with W = `nwords` when
+/// it is 1, 2 or 4, and W = 0 for any other width. A loop body templated on
+/// W then sees a constant word count (the compiler unrolls its word loops),
+/// and the W = 0 instantiation reads `nwords` at run time.
+template <typename Fn>
+void WithWidth(size_t nwords, Fn&& fn) {
+  switch (nwords) {
+    case 1: return fn(std::integral_constant<size_t, 1>{});
+    case 2: return fn(std::integral_constant<size_t, 2>{});
+    case 4: return fn(std::integral_constant<size_t, 4>{});
+    default: return fn(std::integral_constant<size_t, 0>{});
+  }
+}
 
 }  // namespace bits
 

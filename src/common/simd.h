@@ -1,59 +1,18 @@
-// Runtime-dispatched SIMD kernels for the multi-word bitmap hot paths.
-//
-// Each kernel here is a drop-in replacement for its scalar bits:: twin with
-// BIT-IDENTICAL results — which is what lets shared pipeline code call them
-// unconditionally while the differential suites still compare batched vs
-// scalar paths bit-exactly. Dispatch policy (see docs/STORAGE.md):
-//
-//  * Compile-time gate: the AVX2 bodies are compiled only when the build
-//    enables SDW_SIMD (CMake option, default ON) on x86-64. Per-function
-//    target("avx2") attributes mean no global -mavx2 flag — the rest of the
-//    library stays baseline-ISA.
-//  * Runtime gate: __builtin_cpu_supports("avx2"), probed once and cached.
-//    Non-AVX2 hosts (and SDW_SIMD=OFF builds) run the scalar bits:: loops
-//    through the same entry points.
-//
-// Dispatch is an indirect call through a pointer resolved at static
-// initialization — callers in per-tuple loops pay one predictable indirect
-// branch, not a CPUID test.
+// Build provenance for benchmark output: the ISA the library targets.
 
 #ifndef SDW_COMMON_SIMD_H_
 #define SDW_COMMON_SIMD_H_
 
-#include <cstddef>
-#include <cstdint>
-
 namespace sdw::simd {
 
-namespace internal {
-
-using AndWithOrAnyFn = uint64_t (*)(uint64_t*, const uint64_t*,
-                                    const uint64_t*, size_t);
-using OrAccumulateAnyFn = uint64_t (*)(uint64_t*, const uint64_t*, size_t);
-
-extern const AndWithOrAnyFn kAndWithOrAny;
-extern const OrAccumulateAnyFn kOrAccumulateAny;
-
-}  // namespace internal
-
-/// True when the AVX2 kernels are compiled in AND this CPU supports AVX2
-/// (i.e. the dispatched kernels below run vectorized, not scalar).
-bool Avx2Active();
-
-/// dst &= (a | b) over nwords, returning the OR of the resulting words —
-/// zero iff the span went empty. Same contract as bits::AndWithOrAny; the
-/// CJOIN filter's multi-word match|pass pass.
-inline uint64_t AndWithOrAny(uint64_t* dst, const uint64_t* a,
-                             const uint64_t* b, size_t nwords) {
-  return internal::kAndWithOrAny(dst, a, b, nwords);
-}
-
-/// acc |= src over nwords, returning the OR of the src words — zero iff the
-/// span is empty. The distributor's touched-slot (`seen`) accumulation +
-/// empty-bitmap skip test, fused.
-inline uint64_t OrAccumulateAny(uint64_t* acc, const uint64_t* src,
-                                size_t nwords) {
-  return internal::kOrAccumulateAny(acc, src, nwords);
+/// True when the build targets AVX2 (`__AVX2__`); false in every
+/// configuration that CMakeLists.txt defines.
+constexpr bool Avx2Active() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
 }
 
 }  // namespace sdw::simd

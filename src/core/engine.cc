@@ -60,11 +60,8 @@ Engine::Engine(const storage::Catalog* catalog, storage::BufferPool* pool,
   if (use_cjoin) {
     const storage::Table* fact = catalog->MustGetTable(options_.fact_table);
     cjoin::CjoinOptions copts = options_.cjoin;
-    // One policy everywhere: the scheduler's FIFO switch also turns off
-    // priority-ordered admission in the GQP — while still honoring a
-    // caller who disabled only the CJOIN knob.
-    copts.priority_admission =
-        options_.sched.priority_enabled && options_.cjoin.priority_admission;
+    // The scheduler's switch is the one source of the admission order.
+    copts.priority_admission = options_.sched.priority_enabled;
     if (options_.resilience.memory_budget_bytes > 0) {
       memory_budget_ =
           std::make_unique<MemoryBudget>(options_.resilience.memory_budget_bytes);

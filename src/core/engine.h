@@ -50,7 +50,8 @@ struct EngineOptions {
   size_t channel_bytes = 256 * 1024;
   /// GQP pipeline options (CJOIN configs only), including dynamic query
   /// folding (cjoin.query_folding, see docs/FOLDING.md) and the overload
-  /// retry hint (cjoin.overload_retry_after_nanos).
+  /// retry hint (cjoin.overload_retry_after_nanos). The engine sets
+  /// cjoin.priority_admission from sched.priority_enabled.
   cjoin::CjoinOptions cjoin;
   /// CJOIN configs: evaluate aggregations inside the pipeline's shared
   /// aggregation stage — queries with the same (group-by keys, aggregate

@@ -4,7 +4,6 @@
 // BIT-IDENTICAL to those over the same rows stored row-major, at every
 // level:
 //
-//  * SIMD kernels vs their scalar twins over random word spans;
 //  * PageLayout geometry: 64-byte-aligned minipage bases, non-overlapping
 //    minipages, capacity accounting; Clone copies only the used payload
 //    prefix (stat-asserted through Page::clone_payload_bytes);
@@ -33,7 +32,6 @@
 #include "common/bitmap.h"
 #include "common/macros.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "core/engine.h"
 #include "qpipe/flat_hash_table.h"
 #include "qpipe/hash_table.h"
@@ -53,48 +51,6 @@ using cjoin::FilterScratch;
 using cjoin::TupleBatch;
 
 namespace {
-
-// ------------------------------------------------------------- SIMD kernels
-
-void SimdKernels() {
-  Rng rng(77);
-  std::printf("  simd: avx2 %s\n", simd::Avx2Active() ? "active" : "inactive");
-  for (size_t nwords = 1; nwords <= 9; ++nwords) {
-    for (int trial = 0; trial < 50; ++trial) {
-      std::vector<uint64_t> a(nwords), b(nwords), dst(nwords), acc(nwords);
-      for (size_t w = 0; w < nwords; ++w) {
-        // Mix full-entropy and sparse words so the all-zero result (any==0)
-        // is actually reachable.
-        a[w] = rng.Bernoulli(0.3) ? 0 : rng.Next();
-        b[w] = rng.Bernoulli(0.5) ? 0 : rng.Next();
-        dst[w] = rng.Bernoulli(0.3) ? 0 : rng.Next();
-        acc[w] = rng.Next();
-      }
-      // AndWithOrAny vs the bits:: reference.
-      std::vector<uint64_t> dst_ref = dst;
-      const uint64_t any_ref =
-          bits::AndWithOrAny(dst_ref.data(), a.data(), b.data(), nwords);
-      const uint64_t any =
-          simd::AndWithOrAny(dst.data(), a.data(), b.data(), nwords);
-      SDW_CHECK_MSG(dst == dst_ref, "AndWithOrAny words differ (nwords=%zu)",
-                    nwords);
-      SDW_CHECK_MSG((any == 0) == (any_ref == 0),
-                    "AndWithOrAny any-verdict differs (nwords=%zu)", nwords);
-      // OrAccumulateAny vs a plain loop.
-      std::vector<uint64_t> acc_ref = acc;
-      uint64_t src_any = 0;
-      for (size_t w = 0; w < nwords; ++w) {
-        acc_ref[w] |= dst[w];
-        src_any |= dst[w];
-      }
-      const uint64_t got = simd::OrAccumulateAny(acc.data(), dst.data(), nwords);
-      SDW_CHECK_MSG(acc == acc_ref, "OrAccumulateAny words differ (nwords=%zu)",
-                    nwords);
-      SDW_CHECK_MSG((got == 0) == (src_any == 0),
-                    "OrAccumulateAny any-verdict differs (nwords=%zu)", nwords);
-    }
-  }
-}
 
 // --------------------------------------------- PageLayout / convert / Clone
 
@@ -680,12 +636,11 @@ void EngineRowVsColumnar() {
 }  // namespace
 
 int main() {
-  SimdKernels();
   PageLayoutAndClone();
   EvalAtRowVsPax();
   FlatVsChainedProbe();
-  // 1 slot (degenerate), 64 (one word), 65 (first multi-word straddle),
-  // 256 (four words — the AVX2-width bitmap pass).
+  // 1 slot (degenerate), 64 (one word), 65 (two words), 256 (four words):
+  // Filter::Process's W = 1, 2 and 4 bitmap loops.
   for (size_t slots : {size_t{1}, size_t{64}, size_t{65}, size_t{256}}) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       FilterRowVsPax(slots, seed * 1000 + slots, Fill::kRandom);

@@ -2,11 +2,11 @@
 // DistributePartBatched (recycled flat counting-sort scratch) must produce
 // the same slot→tuple-index groups as the retained scalar reference
 // DistributePartScalar (the seed's per-batch rebuilt hash map), across
-// randomized live-masks and bitmaps, slot counts (1, 64, 65, 256), empty and
-// full batches, all-dead batches, and batches carrying stale bitmap bits on
-// dead tuples. Equality is ordering-insensitive across groups; the test also
-// pins the zero-allocation property: once the scratch has seen a trial's
-// high-water batch, repeat batches must not grow it.
+// randomized live-masks and bitmaps, slot counts (1, 64, 65, 192, 256),
+// empty and full batches, all-dead batches, and batches carrying stale
+// bitmap bits on dead tuples. Equality is ordering-insensitive across
+// groups; the test also pins the zero-allocation property: once the scratch
+// has seen a trial's high-water batch, repeat batches must not grow it.
 
 #include <algorithm>
 #include <cstdio>
@@ -171,9 +171,11 @@ void RunTrial(size_t slots, uint64_t seed) {
 }  // namespace
 
 int main() {
-  // 1 slot (degenerate), 64 (exactly one word), 65 (first multi-word
-  // straddle), 256 (four words).
-  for (size_t slots : {size_t{1}, size_t{64}, size_t{65}, size_t{256}}) {
+  // 1 slot (degenerate), 64 (exactly one word), 65 (two words), 256 (four
+  // words) and 192 (three words): DistributePartBatched's W = 1, 2 and 4
+  // loops and its run-time-width loop.
+  for (size_t slots :
+       {size_t{1}, size_t{64}, size_t{65}, size_t{256}, size_t{192}}) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       RunTrial(slots, seed * 1000 + slots);
     }

@@ -185,7 +185,7 @@ void RunTrial(size_t slots, uint64_t seed, bool all_dead,
 }  // namespace
 
 int main() {
-  // Single-word bitmaps (the ≤64-slot fast path) and multi-word (3 words).
+  // One-word bitmaps (the W = 1 loop) and three words (the run-time width).
   for (uint64_t seed : {1u, 2u, 3u}) {
     RunTrial(64, seed, /*all_dead=*/false);
     RunTrial(192, seed, /*all_dead=*/false);

@@ -505,8 +505,9 @@ void TestTimerConcurrentStress() {
 void TestSchedulerWatchDeadline() {
   core::Scheduler sched;
   // A watched deadline completes a lifecycle's pending cancel state.
-  auto life = std::make_shared<core::QueryLifecycle>(1, core::SubmitOptions{
-      .priority = 0, .deadline_nanos = NowNanos() + 10'000'000});
+  core::SubmitOptions soon;
+  soon.deadline_nanos = NowNanos() + 10'000'000;
+  auto life = std::make_shared<core::QueryLifecycle>(1, soon);
   sched.WatchDeadline(life);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   SDW_CHECK(life->cancel_requested());
@@ -516,8 +517,9 @@ void TestSchedulerWatchDeadline() {
 
   // A query that finishes first must NOT be disturbed — and its deadline
   // timer is disarmed at Finish instead of lingering until the deadline.
-  auto done = std::make_shared<core::QueryLifecycle>(2, core::SubmitOptions{
-      .priority = 0, .deadline_nanos = NowNanos() + 10'000'000'000});
+  core::SubmitOptions later;
+  later.deadline_nanos = NowNanos() + 10'000'000'000;
+  auto done = std::make_shared<core::QueryLifecycle>(2, later);
   sched.WatchDeadline(done);
   SDW_CHECK(sched.timers().pending() == 1);
   done->Finish(Status::Ok());
